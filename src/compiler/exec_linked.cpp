@@ -15,14 +15,14 @@
 //     cursors instead of materializing every segment first — same step
 //     count, same enumerated totals (unconsumed elements are accounted at
 //     frame close; every cursor knows its extent), no allocation;
-//   - counters and fan-out histograms accumulate in plain locals and
-//     flush once per run instead of one relaxed-atomic add per event.
+//   - counters and fan-out buckets accumulate in a RunDelta and are
+//     booked once per run by commit_run instead of per event.
 //
 // ParallelRunner (bottom of this file) workshares the outermost
 // enumerate level across the shared thread pool when the link-time
 // legality check passed (LinkedPlan::parallel_ok): a deterministic chunk
 // grid over the outer cursor range, per-worker runners with private
-// scratch and counter/fan-out shards, merged and flushed once per run so
+// scratch and RunDelta shards, merged and committed once per run so
 // observability stays exact — same executor.* deltas, same histogram
 // samples, same trace span totals as a serial run, for any thread count.
 #include <algorithm>
@@ -30,6 +30,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,9 +48,12 @@ namespace bernoulli::compiler {
 
 namespace {
 
-// Same registry names as the interpreter (executor.cpp) — by-name lookup
-// yields the same Counter objects, so the two engines feed one ledger.
-struct LinkedCounters {
+// The registry objects commit_run books into, resolved once per process
+// so the per-run path does no by-name lookups. The latency histogram and
+// execute.wall_ns receive the same integer nanoseconds, so
+// execute.latency.sum_ns == execute.wall_ns and the latency count equals
+// executor.runs for every engine.
+struct RunRegistry {
   support::Counter& runs = support::counter("executor.runs");
   support::Counter& tuples = support::counter("executor.tuples");
   support::Counter& enumerated = support::counter("executor.enumerated");
@@ -59,19 +63,6 @@ struct LinkedCounters {
   support::Counter& fill_ins = support::counter("executor.fill_ins");
   support::Counter& merge_segment_bytes =
       support::counter("executor.merge_segment_bytes");
-};
-
-LinkedCounters& linked_counters() {
-  static LinkedCounters c;
-  return c;
-}
-
-// Serving-era metrics, booked once per run at the same flush site as the
-// executor.* counters so the two ledgers reconcile: latency histogram
-// count == executor.runs delta, histogram sum == execute.wall_ns (the same
-// integer nanoseconds recorded into both). Same names across the
-// interpreter, linked, threaded and specialized engines.
-struct ServeMetrics {
   support::LatencyHistogram& latency =
       support::metric_latency("execute.latency");
   support::MetricRate& wall_ns = support::metric_rate("execute.wall_ns");
@@ -79,13 +70,11 @@ struct ServeMetrics {
       support::metric_rate("execute.model_bytes");
   support::MetricRate& model_flops =
       support::metric_rate("execute.model_flops");
-  support::TimeCounter& wall_seconds =
-      support::time_counter("executor.wall_seconds");
 };
 
-ServeMetrics& serve_metrics() {
-  static ServeMetrics m;
-  return m;
+RunRegistry& run_registry() {
+  static RunRegistry r;
+  return r;
 }
 
 long long wall_now_ns() {
@@ -123,7 +112,43 @@ bool bulk_drain_enabled() {
   return g_bulk_drain.load(std::memory_order_relaxed);
 }
 
-bool LinkedRunner::resolve_probes(const LinkedLevel& lv, LocalCounters& c) {
+void commit_run(const RunDelta& delta, long long wall_ns,
+                const PlanFootprint* footprint,
+                std::span<support::Log2Histogram* const> fanout,
+                const support::ProfileFlush* profile, int k) {
+  RunRegistry& r = run_registry();
+  // The whole group commits under the observability commit lock so a
+  // concurrent metrics_snapshot() never sees part of a run.
+  const std::unique_lock<std::mutex> commit = support::metrics_commit_lock();
+  const long long base = wall_ns / k;
+  const long long rem = wall_ns % k;
+  for (int i = 0; i < k; ++i) r.latency.record_ns(base + (i < rem ? 1 : 0));
+  r.wall_ns.add(wall_ns);
+  if (footprint != nullptr && footprint->exact) {
+    r.model_bytes.add(footprint->total_bytes() * k);
+    r.model_flops.add(footprint->flops * k);
+  }
+  r.runs.add(k);
+  r.tuples.add(delta.tuples * k);
+  r.enumerated.add(delta.enumerated * k);
+  r.merge_steps.add(delta.merge_steps * k);
+  r.probe_hits.add(delta.probe_hits * k);
+  r.probe_misses.add(delta.probe_misses * k);
+  r.fill_ins.add(delta.fill_ins * k);
+  r.merge_segment_bytes.add(delta.merge_segment_bytes * k);
+  constexpr std::size_t kB = support::Log2Histogram::kBuckets;
+  const std::size_t levels = std::min(fanout.size(), delta.fanout.size() / kB);
+  for (std::size_t d = 0; d < levels; ++d) {
+    for (std::size_t b = 0; b < kB; ++b) {
+      const long long n = delta.fanout[d * kB + b];
+      // Bucket b's representative value: bucket_of(rep) == b.
+      if (n != 0) fanout[d]->add(b == 0 ? 0 : (1LL << (b - 1)), n * k);
+    }
+  }
+  if (profile != nullptr) support::profile_commit(*profile);
+}
+
+bool LinkedRunner::resolve_probes(const LinkedLevel& lv, RunDelta& c) {
   for (const LinkedProbe& pr : lv.probes) {
     const index_t idx = vars_[static_cast<std::size_t>(pr.var_slot)];
     const index_t parent =
@@ -206,7 +231,7 @@ void LinkedRunner::open_frame(std::size_t d) {
   }
 }
 
-bool LinkedRunner::next_binding(std::size_t d, LocalCounters& c) {
+bool LinkedRunner::next_binding(std::size_t d, RunDelta& c) {
   Frame& f = frames_[d];
   const LinkedLevel& lv = lp_.levels[d];
 
@@ -284,7 +309,7 @@ bool LinkedRunner::next_binding(std::size_t d, LocalCounters& c) {
   }
 }
 
-void LinkedRunner::close_frame(std::size_t d, LocalCounters& c,
+void LinkedRunner::close_frame(std::size_t d, RunDelta& c,
                                RunStats* stats) {
   Frame& f = frames_[d];
   const LinkedLevel& lv = lp_.levels[d];
@@ -303,8 +328,7 @@ void LinkedRunner::close_frame(std::size_t d, LocalCounters& c,
     // histogram total. Hand the count to the coordinator instead.
     *chunk_outer_produced_ += f.inv_produced;
   } else {
-    ++fanout_local_[d][static_cast<std::size_t>(
-        support::Log2Histogram::bucket_of(f.inv_produced))];
+    c.add_fanout(d, f.inv_produced);
   }
   if (stats) {
     stats->levels[d].enumerated += f.inv_enumerated;
@@ -312,56 +336,25 @@ void LinkedRunner::close_frame(std::size_t d, LocalCounters& c,
   }
 }
 
-void LinkedRunner::flush(const LocalCounters& c, RunStats* stats,
-                         long long wall_ns) {
-  if (capture_ != nullptr) {
-    capture_->tuples = c.tuples;
-    capture_->enumerated = c.enumerated;
-    capture_->merge_steps = c.merge_steps;
-    capture_->probe_hits = c.probe_hits;
-    capture_->probe_misses = c.probe_misses;
-    capture_->fill_ins = c.fill_ins;
-    capture_->merge_segment_bytes = c.merge_segment_bytes;
-    capture_->fanout = fanout_local_;  // copy BEFORE booking zeroes it
-  }
-  // The whole group below — latency sample, wall_ns, counters, fan-out,
-  // profile — commits under the observability commit lock so a concurrent
-  // metrics_snapshot() can never see half of this run (the
-  // execute.latency.sum_ns == execute.wall_ns invariant).
-  const std::unique_lock<std::mutex> commit = support::metrics_commit_lock();
-  ServeMetrics& m = serve_metrics();
-  m.latency.record_ns(wall_ns);
-  m.wall_ns.add(wall_ns);
-  m.wall_seconds.add(static_cast<double>(wall_ns) * 1e-9);
-  if (lp_.footprint.exact) {
-    m.model_bytes.add(lp_.footprint.total_bytes());
-    m.model_flops.add(lp_.footprint.flops);
-  }
-  LinkedCounters& ctr = linked_counters();
-  ctr.runs.add(1);
-  ctr.tuples.add(c.tuples);
-  ctr.enumerated.add(c.enumerated);
-  ctr.merge_steps.add(c.merge_steps);
-  ctr.probe_hits.add(c.probe_hits);
-  ctr.probe_misses.add(c.probe_misses);
-  ctr.fill_ins.add(c.fill_ins);
-  ctr.merge_segment_bytes.add(c.merge_segment_bytes);
-  for (std::size_t d = 0; d < fanout_local_.size(); ++d) {
-    for (int b = 0; b < support::Log2Histogram::kBuckets; ++b) {
-      long long& n = fanout_local_[d][static_cast<std::size_t>(b)];
-      if (n == 0) continue;
-      // Bucket b's representative value: bucket_of(rep) == b.
-      lp_.levels[d].fanout->add(b == 0 ? 0 : (1LL << (b - 1)), n);
-      n = 0;
-    }
-  }
-  if (stats) stats->tuples = c.tuples;
-  // Per-level time attribution rides the same once-per-run flush; the
+void LinkedRunner::begin_run() {
+  delta_.clear();
+  // A profiled run that threw left its scratch behind; never book it.
+  if (prof_.levels != 0) prof_.reset(0);
+  if (support::profiling_enabled())
+    prof_.levels = static_cast<int>(
+        std::min<std::size_t>(lp_.levels.size(), support::kProfileMaxLevels));
+}
+
+void LinkedRunner::commit(long long wall_ns) {
+  // Per-level time attribution rides the same once-per-run commit; the
   // scratch is zero unless profiling was enabled during the run.
+  std::optional<support::ProfileFlush> profile;
   if (prof_.any()) {
-    support::profile_flush(prof_, wall_ns);
+    profile = support::profile_estimate(prof_, wall_ns);
     prof_.reset(0);
   }
+  commit_run(delta_, wall_ns, &lp_.footprint, lp_.fanout,
+             profile ? &*profile : nullptr);
 }
 
 // Classifies the mac operands against the leaf level so try_bulk (below)
@@ -507,7 +500,7 @@ struct LinkedRunner::MacSink {
   // fused loop, booking counters/stats in bulk. Returns false (nothing
   // consumed, nothing booked) when the invocation is not provably all-hit,
   // so the caller's per-element path keeps exact miss semantics.
-  bool try_bulk(std::size_t d, LocalCounters& c) const {
+  bool try_bulk(std::size_t d, RunDelta& c) const {
     if (!r.bulk_ok_ || !bulk_drain_enabled()) return false;
     Frame& f = r.frames_[d];
     const LinkedLevel& lv = r.lp_.levels[d];
@@ -760,7 +753,7 @@ struct LinkedRunner::MacSink {
   // does not consume — an unaligned thread-chunk prefix, the tail, a
   // window whose chunk shape does not verify — are left untouched for
   // the per-row path.
-  void try_chunk(LocalCounters& c, RunStats* st) const {
+  void try_chunk(RunDelta& c, RunStats* st) const {
     if (!r.chunk_ok_ || !bulk_drain_enabled()) return;
     Frame& f0 = r.frames_[0];
     relation::Cursor& cur = f0.cursors[0];
@@ -825,9 +818,12 @@ struct LinkedRunner::MacSink {
     while (cur.cur % sigma == 0 && cur.end - cur.cur >= sigma) {
       const index_t w0 = cur.cur;
       // Pre-resolve the window's rows before booking any frame state: a
-      // filtered row or an unverifiable chunk shape restores the counter
-      // snapshot and leaves the whole window to the per-row path.
-      const LocalCounters saved = c;
+      // filtered row or an unverifiable chunk shape restores the probe
+      // counts (all resolve_probes touches) and leaves the whole window to
+      // the per-row path.
+      const long long hits0 = c.probe_hits;
+      const long long misses0 = c.probe_misses;
+      const long long fills0 = c.fill_ins;
       bool ok = true;
       for (index_t s = 0; s < sigma; ++s) {
         const index_t row = w0 + s;
@@ -875,7 +871,9 @@ struct LinkedRunner::MacSink {
         }
       }
       if (!ok) {
-        c = saved;
+        c.probe_hits = hits0;
+        c.probe_misses = misses0;
+        c.fill_ins = fills0;
         prof_book();
         return;
       }
@@ -889,8 +887,7 @@ struct LinkedRunner::MacSink {
         c.tuples += n;
         c.enumerated += n;
         c.probe_hits += n * nprobes1;
-        ++r.fanout_local_[1][static_cast<std::size_t>(
-            support::Log2Histogram::bucket_of(n))];
+        c.add_fanout(1, n);
         if (st) {
           st->levels[1].enumerated += n;
           st->levels[1].produced += n;
@@ -926,7 +923,7 @@ struct LinkedRunner::MacSink {
 };
 
 template <class Sink>
-void LinkedRunner::drain_enumerate_leaf(std::size_t d, LocalCounters& c,
+void LinkedRunner::drain_enumerate_leaf(std::size_t d, RunDelta& c,
                                         Sink&& sink, bool prof_time) {
   // Drain-kind attribution: the whole invocation books one work count (and,
   // inside a sampled bracket, one timestamp pair — never per tuple) under
@@ -1018,28 +1015,25 @@ void LinkedRunner::drain_enumerate_leaf(std::size_t d, LocalCounters& c,
 
 template <class Sink>
 void LinkedRunner::run_impl(Sink&& sink, RunStats* stats) {
-  LocalCounters c;
   const long long t0 = wall_now_ns();
+  begin_run();
   const std::size_t L = lp_.levels.size();
-  if (support::profiling_enabled())
-    prof_.levels = static_cast<int>(
-        std::min<std::size_t>(L, support::kProfileMaxLevels));
   if (stats) {
     stats->tuples = 0;
     stats->levels.assign(L, LevelRunStats{});
   }
   if (L == 0) {
-    ++c.tuples;
+    ++delta_.tuples;
     sink();
-    flush(c, stats, wall_now_ns() - t0);
-    return;
+  } else {
+    run_span(sink, delta_, stats, 0, -1);
   }
-  run_span(sink, c, stats, 0, -1);
-  flush(c, stats, wall_now_ns() - t0);
+  if (stats) stats->tuples = delta_.tuples;
+  commit(wall_now_ns() - t0);
 }
 
 template <class Sink>
-void LinkedRunner::run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
+void LinkedRunner::run_span(Sink&& sink, RunDelta& c, RunStats* stats,
                             index_t chunk_begin, index_t chunk_count) {
   std::fill(vars_.begin(), vars_.end(), static_cast<index_t>(-1));
   std::fill(pos_.begin(), pos_.end(), static_cast<index_t>(-1));
@@ -1063,7 +1057,7 @@ void LinkedRunner::run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
   // per level TRANSITION books the elapsed segment to the level the engine
   // was executing (self time; book_ns also feeds every enclosing level's
   // inclusive slot). Leaf drains bracket the whole invocation. Work counts
-  // are always on while profiling so the flush can extrapolate sampled
+  // are always on while profiling so the commit can extrapolate sampled
   // nanoseconds by the exact work ratio.
   const bool prof_on = support::profiling_enabled();
   bool prof_bracket = false;
@@ -1166,7 +1160,7 @@ void traced(const LinkedPlan& lp, RunStats* stats, const Body& body) {
 
 }  // namespace
 
-void LinkedRunner::run(const Action& action, RunStats* stats) {
+const RunDelta& LinkedRunner::run(const Action& action, RunStats* stats) {
   traced(lp_, stats, [&](RunStats* st) {
     run_impl(
         [&] {
@@ -1179,9 +1173,10 @@ void LinkedRunner::run(const Action& action, RunStats* stats) {
         },
         st);
   });
+  return delta_;
 }
 
-void LinkedRunner::run(const LinkedMac& mac, RunStats* stats) {
+const RunDelta& LinkedRunner::run(const LinkedMac& mac, RunStats* stats) {
   // Resolve each operand's leaf position slot once per run: the sink reads
   // pos_ directly and skips the per-tuple leaf_ gather entirely.
   mac_pslots_.clear();
@@ -1194,6 +1189,7 @@ void LinkedRunner::run(const LinkedMac& mac, RunStats* stats) {
   traced(lp_, stats, [&](RunStats* st) {
     run_impl(MacSink{*this, mac, tslot}, st);
   });
+  return delta_;
 }
 
 void execute(const Plan& plan, const relation::Query& q,
@@ -1216,7 +1212,7 @@ ParallelRunner::ParallelRunner(LinkedPlan lp, int threads)
 
 // The coordinator: deterministic chunk grid over the outer cursor range,
 // guided assignment (workers pull the next chunk off one atomic), shards
-// merged and flushed ONCE — counters, fan-out histograms, stats and the
+// merged and committed ONCE — counters, fan-out histograms, stats and the
 // trace all reconcile exactly with a serial run of the same plan.
 template <class MakeSink>
 void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
@@ -1224,7 +1220,7 @@ void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
   const std::size_t L = r0.lp_.levels.size();
   traced(r0.lp_, stats, [&](RunStats* st) {
     // One latency sample per run covering the whole fan-out, booked by the
-    // coordinator's single flush — same sample count as a serial run.
+    // coordinator's single commit — same sample count as a serial run.
     const long long t0 = wall_now_ns();
     // The outer extent, probed once: every worker's level-0 cursor opens
     // on the same root parent, so worker 0's view of the range is THE
@@ -1249,7 +1245,6 @@ void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
     if (align > 1) chunk = ((chunk + align - 1) / align) * align;
 
     struct WorkerState {
-      LinkedRunner::LocalCounters c;
       RunStats stats;
       long long outer_produced = 0;
       long long chunks = 0;
@@ -1264,9 +1259,7 @@ void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
           WorkerState& ws = states[static_cast<std::size_t>(slot)];
           ws.stats.levels.assign(L, LevelRunStats{});
           r.chunk_outer_produced_ = &ws.outer_produced;
-          if (support::profiling_enabled())
-            r.prof_.levels = static_cast<int>(
-                std::min<std::size_t>(L, support::kProfileMaxLevels));
+          r.begin_run();
           auto sink = make_sink(r);
           std::unique_ptr<support::TraceSpan> span;
           if (tracing) {
@@ -1280,52 +1273,39 @@ void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
             const index_t k = next.fetch_add(1, std::memory_order_relaxed);
             const index_t begin = k * chunk;
             if (begin >= extent) break;
-            r.run_span(sink, ws.c, &ws.stats, begin, chunk);
+            r.run_span(sink, r.delta_, &ws.stats, begin, chunk);
             ++ws.chunks;
           }
           r.chunk_outer_produced_ = nullptr;
           if (span)
-            span->arg("chunks", ws.chunks).arg("tuples", ws.c.tuples);
+            span->arg("chunks", ws.chunks).arg("tuples", r.delta_.tuples);
         });
 
-    // Merge the shards: plain sums for counters and per-level stats, a
-    // bucket-wise sum for the deeper fan-out shards, and the withheld
-    // level-0 counts folded into the single per-run sample serial books.
-    LinkedRunner::LocalCounters total;
+    // Merge the shards: plain sums for counters, fan-out buckets and
+    // per-level stats, with the withheld level-0 counts folded into the
+    // single per-run sample serial books.
     long long outer_produced = 0;
     RunStats merged;
     merged.levels.assign(L, LevelRunStats{});
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       const WorkerState& ws = states[w];
-      total.tuples += ws.c.tuples;
-      total.enumerated += ws.c.enumerated;
-      total.merge_steps += ws.c.merge_steps;
-      total.probe_hits += ws.c.probe_hits;
-      total.probe_misses += ws.c.probe_misses;
-      total.fill_ins += ws.c.fill_ins;
-      total.merge_segment_bytes += ws.c.merge_segment_bytes;
       outer_produced += ws.outer_produced;
       for (std::size_t d = 0; d < L; ++d) {
         merged.levels[d].enumerated += ws.stats.levels[d].enumerated;
         merged.levels[d].produced += ws.stats.levels[d].produced;
       }
       if (w != 0) {
-        for (std::size_t d = 0; d < L; ++d)
-          for (std::size_t b = 0; b < r0.fanout_local_[d].size(); ++b)
-            r0.fanout_local_[d][b] += workers_[w]->fanout_local_[d][b];
-        for (auto& buckets : workers_[w]->fanout_local_)
-          std::fill(buckets.begin(), buckets.end(), 0);
+        r0.delta_ += workers_[w]->delta_;
         // Profile shards merge exactly like the counter shards: plain
-        // sums into the coordinator's scratch, flushed once below.
+        // sums into the coordinator's scratch, committed once below.
         r0.prof_.merge(workers_[w]->prof_);
         workers_[w]->prof_.reset(0);
       }
     }
-    ++r0.fanout_local_[0][static_cast<std::size_t>(
-        support::Log2Histogram::bucket_of(outer_produced))];
-    r0.flush(total, nullptr, wall_now_ns() - t0);
+    r0.delta_.add_fanout(0, outer_produced);
+    r0.commit(wall_now_ns() - t0);
     if (st) {
-      st->tuples = total.tuples;
+      st->tuples = r0.delta_.tuples;
       st->levels = std::move(merged.levels);
     }
   });

@@ -4,11 +4,9 @@
 #include <chrono>
 #include <optional>
 
-#include "support/counters.hpp"
+#include "compiler/link.hpp"
 #include "support/error.hpp"
-#include "support/histogram.hpp"
 #include "support/json_writer.hpp"
-#include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/trace.hpp"
 
@@ -17,26 +15,6 @@ namespace bernoulli::compiler {
 using relation::Query;
 
 namespace {
-
-// Interpreter event counters (support/counters.hpp). Registered once;
-// per-event cost is a relaxed atomic add. The linked engine
-// (exec_linked.cpp) resolves the same names, so both feed one ledger.
-struct ExecCounters {
-  support::Counter& runs = support::counter("executor.runs");
-  support::Counter& tuples = support::counter("executor.tuples");
-  support::Counter& enumerated = support::counter("executor.enumerated");
-  support::Counter& merge_steps = support::counter("executor.merge_steps");
-  support::Counter& probe_hits = support::counter("executor.probe_hits");
-  support::Counter& probe_misses = support::counter("executor.probe_misses");
-  support::Counter& fill_ins = support::counter("executor.fill_ins");
-  support::Counter& merge_segment_bytes =
-      support::counter("executor.merge_segment_bytes");
-};
-
-ExecCounters& exec_counters() {
-  static ExecCounters c;
-  return c;
-}
 
 class Interpreter {
  public:
@@ -47,12 +25,9 @@ class Interpreter {
     for (std::size_t r = 0; r < q.relations.size(); ++r)
       pos_[r].assign(q.relations[r].vars.size(), -1);
     // Per-level fan-out histograms (bindings produced per invocation of a
-    // join level) — one registry lookup per run, one atomic add per level
-    // invocation in the hot loop.
-    fanout_.reserve(plan.levels.size());
-    for (std::size_t d = 0; d < plan.levels.size(); ++d)
-      fanout_.push_back(&support::histogram("executor.fanout.level" +
-                                            std::to_string(d)));
+    // join level), resolved once per run; the counts themselves go into
+    // delta_ and are booked by commit_run after the run.
+    fanout_ = fanout_histograms(plan.levels.size());
     produced_.assign(plan.levels.size(), 0);
     enumerated_.assign(plan.levels.size(), 0);
     // Name resolution happens here, once per run — not in the data loop.
@@ -90,7 +65,10 @@ class Interpreter {
 
   void run() { level(0); }
 
-  long long tuples() const { return tuples_; }
+  const RunDelta& delta() const { return delta_; }
+  const std::vector<support::Log2Histogram*>& fanout() const {
+    return fanout_;
+  }
   const support::ProfileScratch& profile_scratch() const { return prof_; }
   long long produced(std::size_t d) const {
     return produced_[d];
@@ -127,7 +105,6 @@ class Interpreter {
   // probe of a WRITTEN relation with an insertable level creates the entry
   // instead — sparse-output fill-in.
   bool resolve_probes(std::size_t d, const PlanLevel& lv) {
-    ExecCounters& ctr = exec_counters();
     for (std::size_t i = 0; i < lv.probes.size(); ++i) {
       const Access& a = lv.probes[i];
       const auto& rel = q_.relations[static_cast<std::size_t>(a.rel)];
@@ -135,10 +112,10 @@ class Interpreter {
       const relation::IndexLevel& lvl = level_of(a);
       index_t p = lvl.search(parent_pos(a), idx);
       if (p < 0) {
-        ctr.probe_misses.add();
+        ++delta_.probe_misses;
         if (rel.filters) return false;
         if (rel.writes && lvl.insertable()) {
-          ctr.fill_ins.add();
+          ++delta_.fill_ins;
           // const_cast is confined to here: insertion is the one mutating
           // access-method operation, and only output relations reach it.
           p = const_cast<relation::IndexLevel&>(lvl).insert(parent_pos(a),
@@ -151,7 +128,7 @@ class Interpreter {
                                   << " = " << idx);
         }
       } else {
-        ctr.probe_hits.add();
+        ++delta_.probe_hits;
       }
       set_pos(a, p);
     }
@@ -159,10 +136,8 @@ class Interpreter {
   }
 
   void level(std::size_t d) {
-    ExecCounters& ctr = exec_counters();
     if (d == plan_.levels.size()) {
-      ctr.tuples.add();
-      ++tuples_;
+      ++delta_.tuples;
       Env env{var_value_, leaf_positions()};
       action_(env);
       return;
@@ -195,7 +170,6 @@ class Interpreter {
     if (lv.method == JoinMethod::kEnumerate) {
       const Access& drv = lv.drivers[0];
       level_of(drv).enumerate(parent_pos(drv), [&](index_t idx, index_t p) {
-        ctr.enumerated.add();
         ++inv_enumerated;
         var_value_[slot] = idx;
         set_pos(drv, p);
@@ -218,7 +192,6 @@ class Interpreter {
         level_of(lv.drivers[s])
             .enumerate(parent_pos(lv.drivers[s]),
                        [&](index_t idx, index_t p) {
-                         ctr.enumerated.add();
                          ++inv_enumerated;
                          segments_[s].emplace_back(idx, p);
                          return true;
@@ -226,10 +199,10 @@ class Interpreter {
         seg_bytes += static_cast<long long>(segments_[s].size()) *
                      static_cast<long long>(sizeof(segments_[s][0]));
       }
-      ctr.merge_segment_bytes.add(seg_bytes);
+      delta_.merge_segment_bytes += seg_bytes;
       std::vector<std::size_t> finger(k, 0);
       while (true) {
-        ctr.merge_steps.add();
+        ++delta_.merge_steps;
         bool done = false;
         index_t target = -1;
         for (std::size_t s = 0; s < k; ++s) {
@@ -265,7 +238,8 @@ class Interpreter {
         }
       }
     }
-    fanout_[d]->add(inv_produced);
+    delta_.add_fanout(d, inv_produced);
+    delta_.enumerated += inv_enumerated;
     produced_[d] += inv_produced;
     enumerated_[d] += inv_enumerated;
     if (prof_on_) {
@@ -294,13 +268,13 @@ class Interpreter {
   std::vector<index_t> var_value_;
   std::vector<std::vector<index_t>> pos_;
   std::vector<support::Log2Histogram*> fanout_;  // one per plan level
+  RunDelta delta_{plan_.levels.size()};
   std::vector<long long> produced_;
   std::vector<long long> enumerated_;
   std::vector<std::size_t> level_slot_;              // var slot per level
   std::vector<std::vector<std::size_t>> probe_slots_;  // per level, per probe
   std::vector<std::vector<std::vector<std::pair<index_t, index_t>>>>
       merge_scratch_;  // per depth, per driver
-  long long tuples_ = 0;
   support::ProfileScratch prof_;   // per-level attribution, flushed per run
   support::ProfileClock prof_clock_;
   std::vector<int> prof_kind_;     // tuple/merge kind per plan level
@@ -344,7 +318,6 @@ void emit_join_spans(const Plan& plan, const RunStats& stats, double t0,
 void execute_interpreted(const Plan& plan, const Query& q,
                          const Action& action, RunStats* stats) {
   q.validate();
-  exec_counters().runs.add();
   const auto wall_t0 = std::chrono::steady_clock::now();
   Interpreter interp(plan, q, action);
   const bool tracing = support::trace_enabled();
@@ -355,28 +328,21 @@ void execute_interpreted(const Plan& plan, const Query& q,
     t0 = support::trace_now_us();
   }
   interp.run();
-  // Serving metrics, one sample per run at the same site as executor.runs
-  // (same names as the linked/specialized engines' flush, so the latency
-  // histogram count reconciles with the runs counter for any engine).
+  // Booked only once the run completed: an action that throws leaves
+  // every executor.* counter and the latency histogram untouched.
   const long long wall_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - wall_t0)
           .count();
-  {
-    // One atomic group under the observability commit lock: a concurrent
-    // snapshot must not see the latency sample without the wall_ns delta.
-    const std::unique_lock<std::mutex> commit =
-        support::metrics_commit_lock();
-    support::metric_latency("execute.latency").record_ns(wall_ns);
-    support::metric_rate("execute.wall_ns").add(wall_ns);
-    support::time_counter("executor.wall_seconds")
-        .add(static_cast<double>(wall_ns) * 1e-9);
-    support::profile_flush(interp.profile_scratch(), wall_ns);
-  }
+  std::optional<support::ProfileFlush> profile;
+  if (interp.profile_scratch().any())
+    profile = support::profile_estimate(interp.profile_scratch(), wall_ns);
+  commit_run(interp.delta(), wall_ns, /*footprint=*/nullptr, interp.fanout(),
+             profile ? &*profile : nullptr);
   RunStats local;
   RunStats* st = (stats || tracing) ? (stats ? stats : &local) : nullptr;
   if (st) {
-    st->tuples = interp.tuples();
+    st->tuples = interp.delta().tuples;
     st->levels.assign(plan.levels.size(), LevelRunStats{});
     for (std::size_t d = 0; d < plan.levels.size(); ++d) {
       st->levels[d].enumerated = interp.enumerated(d);

@@ -165,8 +165,6 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
       if (pr.insert_on_miss) pr.search = relation::SearchSpec{};
       ll.probes.push_back(pr);
     }
-    ll.fanout =
-        &support::histogram("executor.fanout.level" + std::to_string(d));
     ll.proved_all_hit = prove_all_hit(ll);
     lp.levels.push_back(std::move(ll));
   }
@@ -197,6 +195,7 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
   lp.parallel_ok = leg.ok;
   lp.parallel_note = std::move(leg.note);
   lp.footprint = derive_footprint(plan, q);
+  lp.fanout = fanout_histograms(lp.levels.size());
   return lp;
 }
 
@@ -514,18 +513,65 @@ LinkedMac link_mac(const Query& q, index_t target_rel,
   return mac;
 }
 
-LinkedRunner::LinkedRunner(LinkedPlan lp) : lp_(std::move(lp)) {
+std::vector<support::Log2Histogram*> fanout_histograms(std::size_t levels) {
+  std::vector<support::Log2Histogram*> h;
+  h.reserve(levels);
+  for (std::size_t d = 0; d < levels; ++d)
+    h.push_back(
+        &support::histogram("executor.fanout.level" + std::to_string(d)));
+  return h;
+}
+
+void RunDelta::clear() {
+  tuples = enumerated = merge_steps = probe_hits = probe_misses = fill_ins =
+      merge_segment_bytes = 0;
+  std::fill(fanout.begin(), fanout.end(), 0);
+}
+
+RunDelta& RunDelta::operator+=(const RunDelta& o) {
+  tuples += o.tuples;
+  enumerated += o.enumerated;
+  merge_steps += o.merge_steps;
+  probe_hits += o.probe_hits;
+  probe_misses += o.probe_misses;
+  fill_ins += o.fill_ins;
+  merge_segment_bytes += o.merge_segment_bytes;
+  BERNOULLI_CHECK_MSG(fanout.size() == o.fanout.size(),
+                      "RunDelta shards of different plans");
+  for (std::size_t b = 0; b < fanout.size(); ++b) fanout[b] += o.fanout[b];
+  return *this;
+}
+
+LinkedRunner::LinkedRunner(LinkedPlan lp)
+    : lp_(std::move(lp)), delta_(lp_.levels.size()) {
   const Query& q = *lp_.query;
   vars_.assign(q.vars.size(), -1);
   pos_.assign(static_cast<std::size_t>(lp_.pos_slots), -1);
   leaf_.assign(q.relations.size(), -1);
   frames_.resize(lp_.levels.size());
-  fanout_local_.resize(lp_.levels.size());
   for (std::size_t d = 0; d < lp_.levels.size(); ++d) {
     frames_[d].cursors.resize(lp_.levels[d].drivers.size());
     frames_[d].bufs.resize(lp_.levels[d].drivers.size());
-    fanout_local_[d].assign(support::Log2Histogram::kBuckets, 0);
   }
+}
+
+RunnerPool::Lease RunnerPool::lease() const {
+  {
+    const std::lock_guard<std::mutex> lk(mu_);
+    if (!free_.empty()) {
+      std::unique_ptr<LinkedRunner> r = std::move(free_.back());
+      free_.pop_back();
+      return Lease(*this, std::move(r));
+    }
+  }
+  // Every runner is busy (or this is the first run): build one outside the
+  // lock; it joins the freelist when its lease ends.
+  return Lease(*this, std::make_unique<LinkedRunner>(lp_));
+}
+
+void RunnerPool::give_back(std::unique_ptr<LinkedRunner> r) const {
+  const std::lock_guard<std::mutex> lk(mu_);
+  free_.push_back(std::move(r));
 }
 
 }  // namespace bernoulli::compiler

@@ -13,24 +13,23 @@
 //
 // A LinkedPlan BORROWS the Plan, the Query and the views behind it; all
 // must stay alive and unmoved while the linked plan runs. Call sites that
-// execute the same plan repeatedly (CompiledKernel::run, the distributed
-// kernels that re-run one local plan per solver iteration) hold a
-// LinkedRunner so linking and scratch allocation happen once, not per
-// iteration.
+// execute the same plan repeatedly (CompiledKernel::run through its
+// RunnerPool, the distributed kernels that re-run one local plan per
+// solver iteration) reuse LinkedRunners so linking and scratch allocation
+// happen once, not per iteration.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "compiler/executor.hpp"
 #include "relation/cursor.hpp"
+#include "support/histogram.hpp"
 #include "support/profile.hpp"
-
-namespace bernoulli::support {
-class Log2Histogram;
-}
 
 namespace bernoulli::compiler {
 
@@ -63,7 +62,6 @@ struct LinkedLevel {
   int var_slot = 0;
   std::vector<LinkedAccess> drivers;  // 1 for enumerate, 2+ for merge
   std::vector<LinkedProbe> probes;
-  support::Log2Histogram* fanout = nullptr;  // executor.fanout.level<d>
   // Link-time always-hit proof: every probe at this level is an identity /
   // affine search with no insert-on-miss, and the driver's whole index
   // range provably lands inside every probe's accepting window. When true
@@ -134,6 +132,8 @@ struct LinkedPlan {
   // link_plan; feeds execute.model_bytes / execute.model_flops metrics and
   // the roofline section of run reports.
   PlanFootprint footprint;
+  // executor.fanout.level<d> per level, resolved once at link time.
+  std::vector<support::Log2Histogram*> fanout;
 };
 
 /// Validates `q` and lowers the pair. The result borrows both arguments.
@@ -203,12 +203,62 @@ LinkedMac link_mac(const relation::Query& q, index_t target_rel,
 void set_bulk_drain(bool enabled);
 bool bulk_drain_enabled();
 
+/// One run's observability delta: the executor.* counts plus the per-level
+/// fan-out bucket counts. Every engine accumulates one of these in plain
+/// locals during a run and books it with commit_run() afterwards; the
+/// threaded coordinator sums worker shards with +=, and the KernelServer
+/// replays one k-fold for a batched sweep that stands in for k runs.
+struct RunDelta {
+  long long tuples = 0;
+  long long enumerated = 0;
+  long long merge_steps = 0;
+  long long probe_hits = 0;
+  long long probe_misses = 0;
+  long long fill_ins = 0;
+  long long merge_segment_bytes = 0;
+  /// Fan-out bucket counts, level-major, Log2Histogram::kBuckets per level:
+  /// fanout[d * kBuckets + b] invocations of level d produced a count in
+  /// bucket b.
+  std::vector<long long> fanout;
+
+  explicit RunDelta(std::size_t levels = 0)
+      : fanout(levels * support::Log2Histogram::kBuckets, 0) {}
+
+  /// One invocation of level `d` that produced `produced` bindings.
+  void add_fanout(std::size_t d, long long produced) {
+    ++fanout[d * support::Log2Histogram::kBuckets +
+             static_cast<std::size_t>(
+                 support::Log2Histogram::bucket_of(produced))];
+  }
+
+  /// Zeroes every count, keeping the fan-out capacity (no allocation).
+  void clear();
+
+  RunDelta& operator+=(const RunDelta& o);
+};
+
+/// Books `k` runs' observability as ONE group under the metrics commit
+/// lock, so a concurrent snapshot sees whole runs only: `k` execute.latency
+/// samples splitting `wall_ns` with an exact integer sum, execute.wall_ns,
+/// execute.model_bytes/model_flops from `footprint` when it is exact, the
+/// executor.* counters (executor.runs += k, the rest delta * k), the
+/// fan-out buckets into `fanout` (one histogram per plan level) and the
+/// per-level profile when `profile` is set. The one place in the engines
+/// that books a run; registry references are resolved once per process.
+void commit_run(const RunDelta& delta, long long wall_ns,
+                const PlanFootprint* footprint,
+                std::span<support::Log2Histogram* const> fanout,
+                const support::ProfileFlush* profile = nullptr, int k = 1);
+
+/// The executor.fanout.level<d> histograms for a plan of `levels` levels.
+std::vector<support::Log2Histogram*> fanout_histograms(std::size_t levels);
+
 /// Runs a LinkedPlan. Owns all executor scratch (frames, cursor buffers,
-/// merge state, local counter blocks), reused across runs — after the
+/// merge state, the per-run RunDelta), reused across runs — after the
 /// first run of a given plan, steady state performs no heap allocation.
-/// Observability is batched: executor.* counters and fan-out histograms
-/// are accumulated in plain locals and flushed once per run, preserving
-/// the exact totals the interpreter books per event.
+/// Observability is batched: executor.* counts and fan-out buckets are
+/// accumulated in the RunDelta and committed once per run, preserving the
+/// exact totals the interpreter books.
 class LinkedRunner {
  public:
   explicit LinkedRunner(LinkedPlan lp);
@@ -216,37 +266,13 @@ class LinkedRunner {
   const LinkedPlan& linked() const { return lp_; }
 
   /// One run, invoking `action` per surviving tuple (interpreter-identical
-  /// results, counters and per-level stats).
-  void run(const Action& action, RunStats* stats = nullptr);
+  /// results, counters and per-level stats). Returns the delta the run
+  /// booked (valid until the next run).
+  const RunDelta& run(const Action& action, RunStats* stats = nullptr);
 
   /// One run of a lowered multiply-accumulate statement — the fast path
   /// that also skips the per-tuple std::function and virtual value access.
-  void run(const LinkedMac& mac, RunStats* stats = nullptr);
-
-  /// One run's observability delta — exactly what flush() books into the
-  /// executor.* counters and the per-level fan-out histograms, captured as
-  /// plain numbers. The KernelServer records one of these from a cached
-  /// plan's first run and REPLAYS it (times k, under the metrics commit
-  /// lock) when a batched multi-vector sweep stands in for k engine runs,
-  /// so counters and histograms reconcile exactly with the unbatched path.
-  struct FlushDelta {
-    long long tuples = 0;
-    long long enumerated = 0;
-    long long merge_steps = 0;
-    long long probe_hits = 0;
-    long long probe_misses = 0;
-    long long fill_ins = 0;
-    long long merge_segment_bytes = 0;
-    /// Per-level fan-out bucket counts, kBuckets wide per level
-    /// (support/histogram.hpp); bucket b's representative value is
-    /// 0 for b == 0, else 1 << (b - 1).
-    std::vector<std::vector<long long>> fanout;
-  };
-
-  /// Installs (nullptr clears) a capture target the next flush fills
-  /// before booking. The captured run still books its own group normally —
-  /// capture is observation, not redirection.
-  void set_flush_capture(FlushDelta* capture) { capture_ = capture; }
+  const RunDelta& run(const LinkedMac& mac, RunStats* stats = nullptr);
 
  private:
   struct Frame {
@@ -258,27 +284,17 @@ class LinkedRunner {
     long long inv_produced = 0;
   };
 
-  struct LocalCounters {
-    long long tuples = 0;
-    long long enumerated = 0;
-    long long merge_steps = 0;
-    long long probe_hits = 0;
-    long long probe_misses = 0;
-    long long fill_ins = 0;
-    long long merge_segment_bytes = 0;
-  };
-
   template <class Sink>
   void run_impl(Sink&& sink, RunStats* stats);
 
   // Shared body of the serial run and the parallel chunk run: iterates
   // the level stack over outer-cursor offsets [chunk_begin, chunk_begin +
   // chunk_count) (chunk_count < 0 = the whole range), accumulating into
-  // caller-owned locals without flushing. In chunk mode (see
+  // `c` without committing. In chunk mode (see
   // chunk_outer_produced_) the level-0 fan-out sample is withheld so the
   // coordinator can book ONE merged sample per run, exactly like serial.
   template <class Sink>
-  void run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
+  void run_span(Sink&& sink, RunDelta& c, RunStats* stats,
                 index_t chunk_begin, index_t chunk_count);
 
   // Innermost-level fast path: produces every binding of an enumerate leaf
@@ -287,20 +303,21 @@ class LinkedRunner {
   // level state machine per element. `prof_time` brackets the invocation
   // with one timestamp pair (set inside sampled profiler brackets only).
   template <class Sink>
-  void drain_enumerate_leaf(std::size_t d, LocalCounters& c, Sink&& sink,
+  void drain_enumerate_leaf(std::size_t d, RunDelta& c, Sink&& sink,
                             bool prof_time);
 
   void open_frame(std::size_t d);
-  void close_frame(std::size_t d, LocalCounters& c, RunStats* stats);
-  bool next_binding(std::size_t d, LocalCounters& c);
-  bool resolve_probes(const LinkedLevel& lv, LocalCounters& c);
-  // Flushes the per-run local counters into the registries and books the
-  // run's serving metrics (execute.latency / execute.wall_ns and, when the
-  // footprint is exact, execute.model_bytes / execute.model_flops) from
-  // `wall_ns`, the measured wall time of this run. The parallel runner
-  // times the whole fan-out and flushes ONCE through the coordinator, so
+  void close_frame(std::size_t d, RunDelta& c, RunStats* stats);
+  bool next_binding(std::size_t d, RunDelta& c);
+  bool resolve_probes(const LinkedLevel& lv, RunDelta& c);
+  // Zeroes the per-run delta and profile scratch (a run that threw may
+  // have left them half-filled) and sizes the profile for this plan.
+  void begin_run();
+  // Books delta_ and the profile scratch through commit_run with
+  // `wall_ns`, the measured wall time of the run. The parallel runner
+  // times the whole fan-out and commits ONCE through the coordinator, so
   // serial and threaded runs book the same number of samples.
-  void flush(const LocalCounters& c, RunStats* stats, long long wall_ns);
+  void commit(long long wall_ns);
 
   // --- Bulk leaf-range drain (run(LinkedMac) only) -------------------
   // One mac operand's leaf position, classified against the leaf level:
@@ -366,25 +383,23 @@ class LinkedRunner {
   std::vector<index_t> chunk_lens_;  // per-slot live length
   std::vector<index_t> chunk_tpos_;  // per-slot target position
   std::vector<value_t> chunk_acc_;   // per-lane accumulators
-  // Per-level local fan-out buckets, flushed to the registry histograms
-  // once per run (kBuckets wide, see support/histogram.hpp).
-  std::vector<std::vector<long long>> fanout_local_;
+  // This run's executor.* counts and fan-out buckets, committed once per
+  // run (ParallelRunner: one shard per worker, summed into worker 0's).
+  RunDelta delta_;
   // Chunk mode (set by ParallelRunner): close_frame(0) adds the outer
   // level's produced count here instead of booking a fan-out sample per
   // chunk — the serial engine books exactly one sample per run.
   long long* chunk_outer_produced_ = nullptr;
   // Per-run time-attribution scratch (support/profile.hpp): exact per-
   // (level, drain-kind) work counts plus sampled level-transition
-  // intervals, flushed once per run by flush(). The ParallelRunner merges
-  // worker shards into the coordinator's scratch before its single flush,
-  // so work counts stay bitwise serial-identical for any thread count.
+  // intervals, committed once per run by commit(). The ParallelRunner
+  // merges worker shards into the coordinator's scratch before its single
+  // commit, so work counts stay bitwise serial-identical for any thread
+  // count.
   support::ProfileScratch prof_;
   // Outer-binding counter driving the sampling gate (every
   // kProfileSampleEvery-th outer binding opens a timing bracket).
   long long prof_outer_ = 0;
-  // Optional per-run delta capture target (set_flush_capture); filled by
-  // flush() before it books, then left installed for the next run.
-  FlushDelta* capture_ = nullptr;
 
   friend class ParallelRunner;
 };
@@ -430,5 +445,41 @@ class ParallelRunner {
 /// the program. Repeated runs should hold a ParallelRunner instead.
 void execute_parallel(const Plan& plan, const relation::Query& q,
                       const Action& action, int threads);
+
+/// One linked program's runner scratch, shared by every caller that runs
+/// it: a LinkedPlan plus a mutex-guarded freelist of LinkedRunners over
+/// it. lease() hands out an idle runner (building a new one only when all
+/// are busy) and the Lease returns it on destruction, so N concurrent runs
+/// hold N runners and steady state allocates nothing. Thread-safe; the
+/// freelist is scratch, not state, hence the const interface.
+class RunnerPool {
+ public:
+  explicit RunnerPool(LinkedPlan lp) : lp_(std::move(lp)) {}
+
+  const LinkedPlan& linked() const { return lp_; }
+
+  class Lease {
+   public:
+    Lease(const RunnerPool& pool, std::unique_ptr<LinkedRunner> r)
+        : pool_(&pool), runner_(std::move(r)) {}
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() { pool_->give_back(std::move(runner_)); }
+    LinkedRunner* operator->() const { return runner_.get(); }
+
+   private:
+    const RunnerPool* pool_;
+    std::unique_ptr<LinkedRunner> runner_;
+  };
+
+  Lease lease() const;
+
+ private:
+  void give_back(std::unique_ptr<LinkedRunner> r) const;
+
+  LinkedPlan lp_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::unique_ptr<LinkedRunner>> free_;
+};
 
 }  // namespace bernoulli::compiler

@@ -109,8 +109,8 @@ CompiledKernel compile(const LoopNest& nest, const Bindings& bindings,
   BERNOULLI_CHECK_MSG(!nest.body.factors.empty(),
                       "statement has no factors");
 
-  CompiledKernel kernel;
-  Query& q = kernel.query_;
+  auto st = std::make_shared<CompiledKernel::State>();
+  Query& q = st->query;
   for (const auto& loop : nest.loops) q.vars.push_back(loop.var);
 
   // The iteration-space relation I(i, j, ...) carries the loop bounds and
@@ -118,10 +118,10 @@ CompiledKernel compile(const LoopNest& nest, const Bindings& bindings,
   {
     std::vector<index_t> extents;
     for (const auto& loop : nest.loops) extents.push_back(loop.extent);
-    kernel.interval_ =
+    st->interval =
         std::make_unique<relation::IntervalView>("I", std::move(extents));
     BoundRelation rel;
-    rel.view = kernel.interval_.get();
+    rel.view = st->interval.get();
     rel.vars = q.vars;
     rel.filters = true;  // loop bounds always constrain
     rel.order_free = true;
@@ -131,87 +131,52 @@ CompiledKernel compile(const LoopNest& nest, const Bindings& bindings,
   // Sparsity predicate (paper Eq. 3, computed with Bik & Wijshoff's rule):
   // a sparse array in a multiplicative position annihilates the update, so
   // it filters; the accumulation target never filters.
-  kernel.stmt_.target_rel = add_relation(q, bindings, nest.body.target,
-                                         /*writes=*/true, /*filters=*/false);
-  kernel.stmt_.scale = nest.body.scale;
+  st->stmt.target_rel = add_relation(q, bindings, nest.body.target,
+                                     /*writes=*/true, /*filters=*/false);
+  st->stmt.scale = nest.body.scale;
   for (const auto& f : nest.body.factors) {
     bool sparse = bindings.lookup(f.array).sparse;
-    kernel.stmt_.factor_rels.push_back(
+    st->stmt.factor_rels.push_back(
         add_relation(q, bindings, f, /*writes=*/false, /*filters=*/sparse));
   }
 
-  kernel.plan_ = plan_query(q, opts);
+  st->plan = plan_query(q, opts);
+  CompiledKernel kernel;
+  kernel.state_ = std::move(st);
   return kernel;
 }
 
-std::shared_ptr<CompiledKernel::LinkedProgram> CompiledKernel::build_program()
-    const {
-  return std::make_shared<LinkedProgram>(
-      LinkedRunner(link_plan(plan_, query_)),
-      link_mac(query_, stmt_.target_rel, stmt_.factor_rels, stmt_.scale));
-}
-
-void CompiledKernel::relink() const {
-  // Build outside the lock (linking is the expensive part), publish under
-  // it — linked_ is read concurrently by copies and runs.
-  std::shared_ptr<LinkedProgram> built = build_program();
-  std::lock_guard<std::mutex> lk(link_mu_);
-  linked_ = std::move(built);
-}
-
-void CompiledKernel::relink_noexcept() const noexcept {
-  try {
-    relink();
-  } catch (...) {
-    reset_linked();
-  }
-}
-
-void CompiledKernel::check_idle(const char* what) const {
-  BERNOULLI_CHECK_MSG(
-      active_runs_.load(std::memory_order_acquire) == 0,
-      "CompiledKernel " << what << " while a run() is in flight; the "
-      "linked program borrows this kernel's plan/query storage");
+const LinkedProgram& CompiledKernel::program() const {
+  BERNOULLI_CHECK(state_ != nullptr);  // a default-constructed kernel
+  const State& st = *state_;
+  std::call_once(st.link_once, [&st] {
+    st.program = std::make_unique<const LinkedProgram>(
+        link_plan(st.plan, st.query),
+        link_mac(st.query, st.stmt.target_rel, st.stmt.factor_rels,
+                 st.stmt.scale));
+  });
+  return *st.program;
 }
 
 void CompiledKernel::run() const {
-  std::shared_ptr<LinkedProgram> sp = linked_snapshot();
-  if (!sp) {
-    std::shared_ptr<LinkedProgram> built = build_program();
-    std::lock_guard<std::mutex> lk(link_mu_);
-    if (!linked_) linked_ = std::move(built);
-    sp = linked_;
-  }
-  active_runs_.fetch_add(1, std::memory_order_acq_rel);
-  // Claim the cached program; a contended second run gets a private
-  // one-shot program instead of racing on the shared runner scratch.
-  const bool claimed = !sp->in_use.exchange(true, std::memory_order_acquire);
-  if (!claimed) sp = build_program();
-  try {
-    sp->runner.run(sp->mac);
-  } catch (...) {
-    if (claimed) sp->in_use.store(false, std::memory_order_release);
-    active_runs_.fetch_sub(1, std::memory_order_acq_rel);
-    throw;
-  }
-  if (claimed) sp->in_use.store(false, std::memory_order_release);
-  active_runs_.fetch_sub(1, std::memory_order_acq_rel);
+  const LinkedProgram& p = program();
+  p.runners.lease()->run(p.mac);
 }
 
 std::string CompiledKernel::emit(const std::string& function_name) const {
-  return emit_c(plan_, query_, stmt_, function_name);
+  return emit_c(plan(), query(), state_->stmt, function_name);
 }
 
 std::string CompiledKernel::describe_plan() const {
-  return plan_.describe(query_);
+  return plan().describe(query());
 }
 
 std::string CompiledKernel::explain() const {
-  return compiler::explain(plan_, query_);
+  return compiler::explain(plan(), query());
 }
 
 std::string CompiledKernel::explain_json(int indent) const {
-  return compiler::explain_json(plan_, query_, indent);
+  return compiler::explain_json(plan(), query(), indent);
 }
 
 }  // namespace bernoulli::compiler

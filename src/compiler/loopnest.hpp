@@ -11,7 +11,6 @@
 // yields a runnable/emittable kernel.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -98,86 +97,42 @@ class Bindings {
   std::vector<std::unique_ptr<relation::RelationView>> owned_;
 };
 
-/// A compiled kernel: query + plan + statement, ready to interpret or to
-/// render as C. References views owned by the Bindings it was compiled
-/// from.
+/// A compiled kernel's linked program: the LinkedPlan with its pool of
+/// runners, and the lowered multiply-accumulate statement.
+struct LinkedProgram {
+  LinkedProgram(LinkedPlan lp, LinkedMac m)
+      : runners(std::move(lp)), mac(std::move(m)) {}
+  RunnerPool runners;
+  LinkedMac mac;
+};
+
+/// A compiled kernel: query + plan + statement, ready to run or to render
+/// as C. References views owned by the Bindings it was compiled from.
+///
+/// A cheap value over shared immutable state: copies share the compiled
+/// query/plan, the linked program and its runner pool; moves move one
+/// pointer. Nothing a copy, move or assignment does can disturb a run in
+/// flight on another copy, because runs borrow only the shared state. As
+/// for any value type, one kernel OBJECT must not be assigned or moved
+/// from while another thread uses it.
 class CompiledKernel {
  public:
+  /// An empty kernel; only assignment from compile() makes it usable.
   CompiledKernel() = default;
-  // The lazily-built linked program borrows this object's plan_/query_, so
-  // copies and moves must not share or carry the source's cache. Dropping
-  // it silently would make the first run() after a copy/move pay a hidden
-  // re-link (and, worse, mutate a const kernel from what looks like a
-  // steady-state call), so when the source was already linked the cache is
-  // re-established eagerly against this object's own plan_/query_.
-  //
-  // Concurrency (PR 10): run() may be in flight on another thread while a
-  // copy is taken, so the source's linked_ cache is only ever read under
-  // its cache mutex — the copy looks at null-ness alone and re-links
-  // against its OWN plan_/query_, never the source's in-flux runner state.
-  // Moves and assignments REPLACE storage a concurrent run borrows, which
-  // no lock can make safe; they enforce a cheap ownership check instead
-  // (active_runs() == 0, std::terminate via the noexcept boundary on
-  // violation — a dangling runner would be memory corruption, not an
-  // error state).
-  CompiledKernel(const CompiledKernel& o)
-      : query_(o.query_), plan_(o.plan_), stmt_(o.stmt_),
-        interval_(o.interval_) {
-    if (o.linked_snapshot() != nullptr) relink();
-  }
-  CompiledKernel(CompiledKernel&& o) noexcept
-      : query_(std::move(o.query_)), plan_(std::move(o.plan_)),
-        stmt_(std::move(o.stmt_)), interval_(std::move(o.interval_)) {
-    o.check_idle("moved from");
-    const bool had = o.linked_snapshot() != nullptr;
-    o.reset_linked();
-    if (had) relink_noexcept();
-  }
-  CompiledKernel& operator=(const CompiledKernel& o) {
-    if (this != &o) {
-      check_idle("reassigned");
-      query_ = o.query_;
-      plan_ = o.plan_;
-      stmt_ = o.stmt_;
-      interval_ = o.interval_;
-      reset_linked();
-      if (o.linked_snapshot() != nullptr) relink();
-    }
-    return *this;
-  }
-  CompiledKernel& operator=(CompiledKernel&& o) noexcept {
-    if (this != &o) {
-      check_idle("reassigned");
-      o.check_idle("moved from");
-      query_ = std::move(o.query_);
-      plan_ = std::move(o.plan_);
-      stmt_ = std::move(o.stmt_);
-      interval_ = std::move(o.interval_);
-      const bool had = o.linked_snapshot() != nullptr;
-      reset_linked();
-      o.reset_linked();
-      if (had) relink_noexcept();
-    }
-    return *this;
-  }
 
   /// Executes the kernel through the linked cursor engine. The plan is
-  /// linked on the first run and the linked program (runner scratch, the
-  /// lowered multiply-accumulate) is cached, so solver loops that call
+  /// linked once, on the first run of any copy, and every run leases a
+  /// runner (scratch) from the shared pool, so solver loops that call
   /// run() per iteration pay name resolution and allocation once.
   ///
-  /// Thread-safe against concurrent run() and copy-from on the same
-  /// kernel: the cached program is claimed with an atomic in-use flag;
-  /// a contended run falls back to a private one-shot program (correct,
-  /// just not amortized). Concurrent writes to the TARGET storage are
-  /// still the caller's problem, exactly as for two serial runs.
+  /// Thread-safe: concurrent runs of one kernel (or its copies) lease
+  /// distinct runners. Concurrent writes to the TARGET storage are still
+  /// the caller's problem, exactly as for two serial runs.
   void run() const;
 
-  /// Number of run() calls currently in flight (the ownership check moves
-  /// and assignments enforce).
-  int active_runs() const {
-    return active_runs_.load(std::memory_order_acquire);
-  }
+  /// The linked program, linked on first use (thread-safe) and shared by
+  /// every copy of this kernel.
+  const LinkedProgram& program() const;
 
   /// The C program the compiler generates for this plan.
   std::string emit(const std::string& function_name = "computed_kernel") const;
@@ -191,51 +146,25 @@ class CompiledKernel {
   std::string explain() const;
   std::string explain_json(int indent = 0) const;
 
-  const Plan& plan() const { return plan_; }
-  const relation::Query& query() const { return query_; }
+  const Plan& plan() const { return state_->plan; }
+  const relation::Query& query() const { return state_->query; }
 
  private:
   friend CompiledKernel compile(const LoopNest&, const Bindings&,
                                 const PlannerOptions&);
-  relation::Query query_;
-  Plan plan_;
-  EmitStatement stmt_;
-  // The iteration-space relation is synthesized by compile() and owned by
-  // the kernel (other views belong to the Bindings).
-  std::shared_ptr<relation::RelationView> interval_;
-  struct LinkedProgram {
-    LinkedRunner runner;
-    LinkedMac mac;
-    // Claimed by run() for the duration of one execution; a second run
-    // arriving while set builds a private program instead of racing on
-    // the shared runner scratch. The atomic makes the struct non-movable,
-    // hence the explicit constructor for make_shared.
-    std::atomic<bool> in_use{false};
-    LinkedProgram(LinkedRunner r, LinkedMac m)
-        : runner(std::move(r)), mac(std::move(m)) {}
+  struct State {
+    relation::Query query;
+    Plan plan;
+    EmitStatement stmt;
+    // The iteration-space relation is synthesized by compile() and owned
+    // by the kernel (other views belong to the Bindings).
+    std::unique_ptr<relation::RelationView> interval;
+    // Linked lazily by the first program() call; borrows plan/query above,
+    // which never move because State lives behind a shared_ptr.
+    mutable std::once_flag link_once;
+    mutable std::unique_ptr<const LinkedProgram> program;
   };
-  // Rebuilds linked_ against this object's plan_/query_. relink_noexcept
-  // swallows failures (move operations are noexcept); run() re-links
-  // lazily in that case.
-  void relink() const;
-  void relink_noexcept() const noexcept;
-  std::shared_ptr<LinkedProgram> build_program() const;
-  // The only sanctioned reads/writes of linked_ — it is shared mutable
-  // state between run() (lazy build) and copy/move (cache probe).
-  std::shared_ptr<LinkedProgram> linked_snapshot() const {
-    std::lock_guard<std::mutex> lk(link_mu_);
-    return linked_;
-  }
-  void reset_linked() const {
-    std::lock_guard<std::mutex> lk(link_mu_);
-    linked_.reset();
-  }
-  // Terminates (through the noexcept move boundary) when a move or
-  // assignment would rip storage out from under an in-flight run.
-  void check_idle(const char* what) const;
-  mutable std::shared_ptr<LinkedProgram> linked_;  // built on first run()
-  mutable std::mutex link_mu_;                     // guards linked_
-  mutable std::atomic<int> active_runs_{0};
+  std::shared_ptr<const State> state_;
 };
 
 /// The compiler pipeline: extract query -> sparsity predicate -> plan.

@@ -6,11 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 
-#include "support/counters.hpp"
 #include "support/error.hpp"
-#include "support/histogram.hpp"
-#include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/trace.hpp"
 
@@ -139,10 +137,7 @@ SpecializedKernel::SpecializedKernel(const LinkedPlan& lp,
   ctr_.assign(3, 0);
   lvl_enum_.assign(emission_.num_levels, 0);
   lvl_prod_.assign(emission_.num_levels, 0);
-  fanout_.assign(
-      emission_.num_levels *
-          static_cast<std::size_t>(support::Log2Histogram::kBuckets),
-      0);
+  delta_ = RunDelta(emission_.num_levels);
   lvl_ns_.assign(emission_.num_levels * 3, 0);
 #endif
 }
@@ -172,42 +167,30 @@ void SpecializedKernel::run(RunStats* stats) {
   std::fill(ctr_.begin(), ctr_.end(), 0);
   std::fill(lvl_enum_.begin(), lvl_enum_.end(), 0);
   std::fill(lvl_prod_.begin(), lvl_prod_.end(), 0);
-  std::fill(fanout_.begin(), fanout_.end(), 0);
+  delta_.clear();
   std::fill(lvl_ns_.begin(), lvl_ns_.end(), 0);
   const bool profiling = support::profiling_enabled();
   const int rc =
       fn_(emission_.int_args.data(), emission_.const_args.data(),
           emission_.out_args.data(), ctr_.data(), lvl_enum_.data(),
-          lvl_prod_.data(), fanout_.data(), lvl_ns_.data(),
+          lvl_prod_.data(), delta_.fanout.data(), lvl_ns_.data(),
           profiling ? 1 : 0);
   BERNOULLI_CHECK_MSG(rc == 0,
                       "specialized kernel hit a non-filtering probe miss");
 
-  // Flush exactly what the linked engine flushes: executor.* counters by
-  // the same names, per-level fan-out buckets with representative values,
-  // and per-level RunStats. Merge/fill-in counters stay untouched — the
-  // emitter refuses those shapes.
-  long long enumerated = 0;
-  for (const long long e : lvl_enum_) enumerated += e;
-  // Same serving-metric names and booking discipline as the linked
-  // engine's flush: one latency sample per run, the identical integer
-  // nanoseconds into the histogram and the execute.wall_ns rate.
+  // Book exactly what the linked engine books: the same RunDelta (the
+  // generated code filled the fan-out buckets in place), the footprint
+  // and per-level RunStats. Merge/fill-in counts stay zero — the emitter
+  // refuses those shapes.
+  delta_.tuples = ctr_[0];
+  delta_.probe_hits = ctr_[1];
+  delta_.probe_misses = ctr_[2];
+  for (const long long e : lvl_enum_) delta_.enumerated += e;
   const long long wall_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - wall_t0)
           .count();
-  // The whole flush group (latency sample through the fan-out replay)
-  // commits under the observability commit lock; held to function end —
-  // everything after it is part of this run's booking.
-  const std::unique_lock<std::mutex> commit = support::metrics_commit_lock();
-  support::metric_latency("execute.latency").record_ns(wall_ns);
-  support::metric_rate("execute.wall_ns").add(wall_ns);
-  support::time_counter("executor.wall_seconds")
-      .add(static_cast<double>(wall_ns) * 1e-9);
-  if (lp_.footprint.exact) {
-    support::metric_rate("execute.model_bytes").add(lp_.footprint.total_bytes());
-    support::metric_rate("execute.model_flops").add(lp_.footprint.flops);
-  }
+  std::optional<support::ProfileFlush> profile;
   if (profiling) {
     // Host half of the lvl_ns ABI (docs/CODEGEN.md): compensate each
     // level's sampled bracket time, extrapolate to all invocations,
@@ -233,7 +216,7 @@ void SpecializedKernel::run(RunStats* stats) {
     }
     incl[0] = std::min(incl[0], wall_ns);
     for (int d = 1; d < L; ++d) incl[d] = std::min(incl[d], incl[d - 1]);
-    support::ProfileFlush f;
+    support::ProfileFlush& f = profile.emplace();
     f.levels = L;
     f.wall_ns = wall_ns;
     for (int d = 0; d < L; ++d) {
@@ -245,23 +228,9 @@ void SpecializedKernel::run(RunStats* stats) {
       f.samples[d][kind] = lvl_ns_[3 * static_cast<std::size_t>(d) + 1];
       f.work[d][kind] = lvl_prod_[static_cast<std::size_t>(d)];
     }
-    support::profile_commit(f);
   }
-  support::counter("executor.runs").add(1);
-  support::counter("executor.tuples").add(ctr_[0]);
-  support::counter("executor.enumerated").add(enumerated);
-  support::counter("executor.probe_hits").add(ctr_[1]);
-  support::counter("executor.probe_misses").add(ctr_[2]);
-  constexpr int kB = support::Log2Histogram::kBuckets;
-  for (std::size_t d = 0; d < emission_.num_levels; ++d) {
-    for (int b = 0; b < kB; ++b) {
-      const long long n =
-          fanout_[d * static_cast<std::size_t>(kB) +
-                  static_cast<std::size_t>(b)];
-      if (n == 0) continue;
-      lp_.levels[d].fanout->add(b == 0 ? 0 : (1LL << (b - 1)), n);
-    }
-  }
+  commit_run(delta_, wall_ns, &lp_.footprint, lp_.fanout,
+             profile ? &*profile : nullptr);
   if (st) {
     st->tuples = ctr_[0];
     st->levels.assign(emission_.num_levels, LevelRunStats{});

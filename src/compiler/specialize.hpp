@@ -9,8 +9,8 @@
 // books bitwise-identical executor.* counter deltas, fan-out histogram
 // samples and per-level RunStats to a serial LinkedRunner::run(mac) of
 // the same pair, and produces bitwise-identical output values. The
-// generated code returns raw totals; the host flushes them into the same
-// registry objects the linked engine feeds.
+// generated code returns raw totals; the host packs them into a RunDelta
+// and books it with commit_run, like every other engine.
 //
 // Everything degrades gracefully: when the plan has a shape emission does
 // not cover, the toolchain is missing, or the platform cannot dlopen,
@@ -42,7 +42,7 @@ SpecializeLegality plan_specialize_legality(const Plan& plan,
                                             const relation::Query& q);
 
 /// One specialized kernel: emits, compiles and loads at construction;
-/// run() executes the loaded code and flushes linked-engine-identical
+/// run() executes the loaded code and books linked-engine-identical
 /// observability. Borrows the plan and mac (and, through them, the views
 /// and their arrays) — all must outlive the kernel. The temporary build
 /// directory is removed on destruction.
@@ -78,12 +78,13 @@ class SpecializedKernel {
   std::string dir_;  // temp build dir; removed in the destructor
   support::DynLib lib_;
   KernelFn fn_ = nullptr;
-  // Per-run counter scratch, zeroed before each call.
+  // Per-run counter scratch, zeroed before each call; the generated code
+  // writes its fan-out buckets straight into delta_.fanout.
   std::vector<long long> ctr_;
   std::vector<long long> lvl_enum_;
   std::vector<long long> lvl_prod_;
-  std::vector<long long> fanout_;
   std::vector<long long> lvl_ns_;  // 3 slots/level: raw_ns, samples, work
+  RunDelta delta_;
 };
 
 }  // namespace bernoulli::compiler

@@ -96,7 +96,8 @@ class Process {
                         "message size " << raw.size()
                                         << " not a multiple of element size");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    // A zero-length message has no buffer: memcpy must not see its null.
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 

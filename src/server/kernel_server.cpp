@@ -7,7 +7,6 @@
 
 #include "support/counters.hpp"
 #include "support/error.hpp"
-#include "support/histogram.hpp"
 #include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
 
@@ -31,6 +30,8 @@ struct ServerCounters {
   support::Counter& evictions = support::counter("server.cache.evictions");
   support::Counter& batches = support::counter("server.batches");
   support::Counter& batched = support::counter("server.batched_requests");
+  support::LatencyHistogram& latency =
+      support::metric_latency("server.request.latency");
 };
 
 ServerCounters& server_counters() {
@@ -41,7 +42,7 @@ ServerCounters& server_counters() {
 // The canonical SpMV loop nest every registered CSR matrix compiles:
 //   DO i = 1, rows; DO j = 1, cols; Y(i) += A(i,j) * X(j)
 // Relation order after compile(): 0 = interval I, 1 = target y,
-// 2 = A, 3 = x (statement order) — the slots link_mac below relies on.
+// 2 = A, 3 = x (statement order).
 compiler::LoopNest spmv_nest(index_t rows, index_t cols) {
   compiler::LoopNest nest;
   nest.loops = {{"i", rows}, {"j", cols}};
@@ -63,11 +64,11 @@ struct KernelServer::Pending {
 };
 
 /// Everything one cached plan owns. Heap-allocated and address-stable:
-/// the kernel's linked program, the LinkedPlan, the mac and the (optional)
-/// specialized kernel all borrow storage inside this struct, so it is
-/// built in dependency order (buffers -> bindings -> kernel -> linked
-/// artifacts) and never moves afterwards. In-flight requests hold the
-/// shared_ptr, which is what makes LRU eviction safe mid-request.
+/// the kernel's views bind the staging buffers and the (optional)
+/// specialized kernel borrows the kernel's linked program, so it is built
+/// in dependency order (buffers -> bindings -> kernel -> linked program)
+/// and never moves afterwards. In-flight requests hold the shared_ptr,
+/// which is what makes LRU eviction safe mid-request.
 struct KernelServer::CacheEntry {
   std::string key;
   const formats::Csr* matrix = nullptr;
@@ -79,21 +80,16 @@ struct KernelServer::CacheEntry {
   Vector proto_x;
   Vector proto_y;
   compiler::Bindings bindings;
+  // The compiled SpMV. Its linked program (LinkedPlan, template mac,
+  // RunnerPool) serves every unbatched request: each leases a runner and
+  // runs a copy of the mac rebound to the request's x/y.
   compiler::CompiledKernel kernel;
+  std::size_t x_factor = 0;  // mac factor index bound to "x"
 
-  compiler::LinkedPlan lp;
-  compiler::LinkedMac mac0;        // template mac; requests copy + rebind
-  std::size_t x_factor = 0;        // mac0.factors index bound to "x"
-
-  // One engine run's observability, captured from the warmup run and
+  // One engine run's observability, returned by the warmup run and
   // replayed k-fold when a batched sweep stands in for k engine runs.
   // SpMV enumeration is structure-only, so the delta is x-independent.
-  compiler::LinkedRunner::FlushDelta delta;
-
-  // Runner freelist: each concurrent unbatched request leases a runner
-  // (scratch reuse in steady state), growing on demand under pool_mu.
-  std::mutex pool_mu;
-  std::vector<std::unique_ptr<compiler::LinkedRunner>> free_runners;
+  compiler::RunDelta delta;
 
   // Leader/follower batcher state (see serve_batched).
   std::mutex batch_mu;
@@ -174,30 +170,24 @@ std::shared_ptr<KernelServer::CacheEntry> KernelServer::build_entry(
   e->bindings.bind_csr("A", m);
   e->bindings.bind_dense_vector("x", ConstVectorView(e->proto_x));
   e->bindings.bind_dense_vector("y", VectorView(e->proto_y));
-  // Move-assign into the entry BEFORE linking: the linked plan borrows
-  // the kernel's plan/query storage at its final address.
   e->kernel = compiler::compile(spmv_nest(m.rows(), m.cols()), e->bindings);
-  e->lp = compiler::link_plan(e->kernel.plan(), e->kernel.query());
-  e->mac0 = compiler::link_mac(e->kernel.query(), /*target_rel=*/1,
-                               /*factor_rels=*/{2, 3}, /*scale=*/1.0);
-  e->x_factor = e->mac0.factors.size();
-  for (std::size_t f = 0; f < e->mac0.factors.size(); ++f)
-    if (e->mac0.factors[f].view->name() == "x") e->x_factor = f;
-  BERNOULLI_CHECK_MSG(e->x_factor < e->mac0.factors.size(),
+  const compiler::LinkedProgram& prog = e->kernel.program();
+  e->x_factor = prog.mac.factors.size();
+  for (std::size_t f = 0; f < prog.mac.factors.size(); ++f)
+    if (prog.mac.factors[f].view->name() == "x") e->x_factor = f;
+  BERNOULLI_CHECK_MSG(e->x_factor < prog.mac.factors.size(),
                       "no dense-vector factor named x in the SpMV mac");
 
   // Warmup run: pays the engine's first-run scratch allocation off the
-  // request path AND captures the per-run FlushDelta the batched path
-  // replays. It books observability normally — one extra engine run per
-  // cache miss, which the counter-reconciliation tests account for.
-  auto runner = std::make_unique<compiler::LinkedRunner>(e->lp);
-  runner->set_flush_capture(&e->delta);
-  runner->run(e->mac0);
-  runner->set_flush_capture(nullptr);
-  e->free_runners.push_back(std::move(runner));
+  // request path (the runner returns to the kernel's pool) AND yields the
+  // per-run RunDelta the batched path replays. It books observability
+  // normally — one extra engine run per cache miss, which the counter-
+  // reconciliation tests account for.
+  e->delta = prog.runners.lease()->run(prog.mac);
 
   if (opts_.use_specialized) {
-    auto spec = std::make_unique<compiler::SpecializedKernel>(e->lp, e->mac0);
+    auto spec = std::make_unique<compiler::SpecializedKernel>(
+        prog.runners.linked(), prog.mac);
     if (spec->ok()) e->spec = std::move(spec);
   }
   return e;
@@ -273,7 +263,7 @@ void KernelServer::spmv(int handle, ConstVectorView x, VectorView y) {
     serve_batched(e, x, y);
   else
     run_single(*e, x, y);
-  support::metric_latency("server.request.latency").record_ns(now_ns() - t0);
+  server_counters().latency.record_ns(now_ns() - t0);
 }
 
 void KernelServer::run_single(CacheEntry& e, ConstVectorView x, VectorView y) {
@@ -287,31 +277,16 @@ void KernelServer::run_single(CacheEntry& e, ConstVectorView x, VectorView y) {
     std::copy(e.proto_y.begin(), e.proto_y.end(), y.begin());
     return;
   }
-  // Linked path: lease a pooled runner and rebind the mac's value spans
-  // to the request buffers. run(LinkedMac) re-resolves operand slots and
-  // re-prepares bulk drains every run, so per-request rebinding is safe.
-  std::unique_ptr<compiler::LinkedRunner> runner;
-  {
-    const std::lock_guard<std::mutex> lk(e.pool_mu);
-    if (!e.free_runners.empty()) {
-      runner = std::move(e.free_runners.back());
-      e.free_runners.pop_back();
-    }
-  }
-  if (!runner) runner = std::make_unique<compiler::LinkedRunner>(e.lp);
-  compiler::LinkedMac mac = e.mac0;
+  // Linked path: lease a runner from the kernel's pool and rebind the
+  // mac's value spans to the request buffers. run(LinkedMac) re-resolves
+  // operand slots and re-prepares bulk drains every run, so per-request
+  // rebinding is safe.
+  const compiler::LinkedProgram& prog = e.kernel.program();
+  compiler::LinkedMac mac = prog.mac;
   mac.target_data = y;
   mac.factors[e.x_factor].data = x;
   std::fill(y.begin(), y.end(), 0.0);
-  try {
-    runner->run(mac);
-  } catch (...) {
-    const std::lock_guard<std::mutex> lk(e.pool_mu);
-    e.free_runners.push_back(std::move(runner));
-    throw;
-  }
-  const std::lock_guard<std::mutex> lk(e.pool_mu);
-  e.free_runners.push_back(std::move(runner));
+  prog.runners.lease()->run(mac);
 }
 
 void KernelServer::serve_batched(const std::shared_ptr<CacheEntry>& e,
@@ -399,7 +374,8 @@ void KernelServer::run_batch(CacheEntry& e, const std::vector<Pending*>& batch) 
   const auto rowptr = m.rowptr();
   const auto colind = m.colind();
   const auto vals = m.vals();
-  const value_t scale = e.mac0.scale;
+  const compiler::LinkedProgram& prog = e.kernel.program();
+  const value_t scale = prog.mac.scale;
   std::vector<const value_t*> xs(static_cast<std::size_t>(k));
   std::vector<value_t*> ys(static_cast<std::size_t>(k));
   for (int r = 0; r < k; ++r) {
@@ -441,46 +417,13 @@ void KernelServer::run_batch(CacheEntry& e, const std::vector<Pending*>& batch) 
       sweep_rows(begin, end);
     });
   }
-  commit_batch_observability(e, k, now_ns() - t0);
-}
-
-void KernelServer::commit_batch_observability(CacheEntry& e, int k,
-                                              long long wall_ns) {
-  // The sweep stood in for k engine runs; book what those k runs would
-  // have booked, as ONE atomic group under the commit lock. Latency
-  // samples split the sweep's wall time with an exact integer sum, so
-  // execute.latency.sum_ns == execute.wall_ns holds through batching.
-  const std::unique_lock<std::mutex> commit = support::metrics_commit_lock();
-  const long long base = wall_ns / k;
-  const long long rem = wall_ns % k;
-  support::LatencyHistogram& lat = support::metric_latency("execute.latency");
-  for (int i = 0; i < k; ++i) lat.record_ns(base + (i < rem ? 1 : 0));
-  support::metric_rate("execute.wall_ns").add(wall_ns);
-  support::time_counter("executor.wall_seconds")
-      .add(static_cast<double>(wall_ns) * 1e-9);
-  if (e.lp.footprint.exact) {
-    support::metric_rate("execute.model_bytes")
-        .add(e.lp.footprint.total_bytes() * k);
-    support::metric_rate("execute.model_flops").add(e.lp.footprint.flops * k);
-  }
-  support::counter("executor.runs").add(k);
-  const compiler::LinkedRunner::FlushDelta& d = e.delta;
-  support::counter("executor.tuples").add(d.tuples * k);
-  support::counter("executor.enumerated").add(d.enumerated * k);
-  support::counter("executor.merge_steps").add(d.merge_steps * k);
-  support::counter("executor.probe_hits").add(d.probe_hits * k);
-  support::counter("executor.probe_misses").add(d.probe_misses * k);
-  support::counter("executor.fill_ins").add(d.fill_ins * k);
-  support::counter("executor.merge_segment_bytes")
-      .add(d.merge_segment_bytes * k);
-  for (std::size_t lvl = 0; lvl < d.fanout.size(); ++lvl) {
-    for (std::size_t b = 0; b < d.fanout[lvl].size(); ++b) {
-      const long long n = d.fanout[lvl][b];
-      if (n == 0) continue;
-      e.lp.levels[lvl].fanout->add(
-          b == 0 ? 0 : (1LL << (b - 1)), n * k);
-    }
-  }
+  // The sweep stood in for k engine runs: book what those k runs would
+  // have booked, with the sweep's wall time split across the k latency
+  // samples, so execute.latency.sum_ns == execute.wall_ns holds through
+  // batching.
+  const compiler::LinkedPlan& lp = prog.runners.linked();
+  compiler::commit_run(e.delta, now_ns() - t0, &lp.footprint, lp.fanout,
+                       /*profile=*/nullptr, k);
 }
 
 }  // namespace bernoulli::server

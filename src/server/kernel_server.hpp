@@ -4,17 +4,18 @@
 // The paper's inspector/executor split exists so one expensive
 // compile/inspect amortizes over many executes; the KernelServer turns
 // that into the serving story. Each registered matrix compiles to a
-// (Plan, Query) pair ONCE; the linked artifacts — LinkedPlan, LinkedMac,
-// a pool of LinkedRunners and (optionally, toolchain permitting) a
-// specialized dlopen'd kernel — live in a bounded LRU cache keyed by
+// CompiledKernel ONCE; the kernel's linked program — LinkedPlan, LinkedMac
+// and its RunnerPool — plus (optionally, toolchain permitting) a
+// specialized dlopen'd kernel live in a bounded LRU cache keyed by
 //
 //   (plan fingerprint, storage identity, distribution tag)
 //
 // where the plan fingerprint (compiler::plan_fingerprint) pins the
 // structural half (query shape, join order/methods, format access paths)
 // and the storage identity pins the concrete arrays. Requests against a
-// cached key pay zero compile/link work: they lease a pooled runner,
-// rebind the mac's x/y value spans to the request buffers and run.
+// cached key pay zero compile/link work: they lease a runner from the
+// kernel's RunnerPool, rebind the mac's x/y value spans to the request
+// buffers and run.
 //
 // Batching: when enabled, concurrent requests against the same cached
 // matrix coalesce leader/follower-style into one SpMM-style multi-vector
@@ -27,12 +28,13 @@
 // against serial CompiledKernel execution and blas::spmm.
 //
 // Observability: every request books the same execute.* group an engine
-// run books. Unbatched requests run the engine, which flushes itself; a
-// batched sweep REPLAYS the entry's captured per-run FlushDelta k times
-// and splits the sweep's wall time across the k requests with an exact
-// integer sum — all under the metrics commit lock — so
-// execute.latency.sum_ns == execute.wall_ns and the executor.* counters
-// reconcile with an unbatched serve of the same traffic. Server-level
+// run books. Unbatched requests run the engine, which books itself via
+// compiler::commit_run; a batched sweep passes commit_run the RunDelta the
+// entry's warmup run returned with k = batch size, which replays it k
+// times and splits the sweep's wall time across the k latency samples
+// with an exact integer sum — so execute.latency.sum_ns ==
+// execute.wall_ns and the executor.* counters reconcile with an unbatched
+// serve of the same traffic. Server-level
 // counters (server.cache.hits/misses/evictions, server.requests,
 // server.batches, server.batched_requests) and the server.request.latency
 // histogram layer on top; see docs/SERVING.md for which layer owns what.
@@ -134,7 +136,6 @@ class KernelServer {
   void run_batch(CacheEntry& e, const std::vector<Pending*>& batch);
   void serve_batched(const std::shared_ptr<CacheEntry>& e, ConstVectorView x,
                      VectorView y);
-  void commit_batch_observability(CacheEntry& e, int k, long long wall_ns);
 
   ServerOptions opts_;
 

@@ -165,11 +165,11 @@ struct MetricsSnapshot {
 /// executor.* counters, the fan-out buckets) that must appear all-or-
 /// nothing to readers: a snapshot taken between two bookings of the same
 /// run would observe a torn state where
-/// execute.latency.sum_ns != execute.wall_ns. Every per-run flush site
-/// (linked, interpreted, specialized, server batches) holds this lock for
-/// the duration of its group booking, and metrics_snapshot()/
-/// counters_snapshot() hold it while merging — so snapshots only ever see
-/// whole runs. The hot path (recording inside a run) never touches it;
+/// execute.latency.sum_ns != execute.wall_ns. compiler::commit_run, the
+/// one place every engine and the server's batch replay book a run, holds
+/// this lock for the duration of the group booking, and
+/// metrics_snapshot()/counters_snapshot() hold it while merging — so
+/// snapshots only ever see whole runs. The hot path (recording inside a run) never touches it;
 /// only the once-per-run commit and the readers do.
 std::mutex& metrics_commit_mutex();
 

@@ -7,7 +7,10 @@
 // identical per-level enumerated/produced totals.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <map>
+#include <stdexcept>
 
 #include "blas/spgemm.hpp"
 #include "compiler/explain.hpp"
@@ -22,6 +25,7 @@
 #include "relation/sparse_vector_view.hpp"
 #include "support/counters.hpp"
 #include "support/histogram.hpp"
+#include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/rng.hpp"
 
@@ -958,13 +962,81 @@ TEST(ParallelExec, FillInFallsBackToSerial) {
   EXPECT_EQ(cview.harvest(), blas::spgemm(acsr, bcsr).to_coo());
 }
 
+// ---- Run booking: a run that throws books nothing --------------------
+
+// Every engine books a run only once it completed (commit_run): an action
+// that throws mid-run leaves every executor.* counter and the latency
+// histogram untouched, so executor.runs and the execute.latency count
+// stay equal. A later clean run of the same runner then books exactly
+// what a fresh engine books — no half-filled delta leaks forward.
+TEST(RunBooking, ThrowingActionBooksNothingOnEveryEngine) {
+  Coo coo = random_matrix(80, 80, 500, 37);
+  formats::Csr csr = formats::Csr::from_coo(coo);
+  Vector x(80, 1.0), y(80, 0.0);
+  Bindings b;
+  b.bind_csr("A", csr);
+  b.bind_dense_vector("X", ConstVectorView(x));
+  b.bind_dense_vector("Y", VectorView(y));
+  LoopNest nest{{{"i", 80}, {"j", 80}},
+                {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+  CompiledKernel k = compile(nest, b);
+  const Plan& plan = k.plan();
+  const Query& q = k.query();
+
+  std::atomic<int> calls{0};
+  const Action boom = [&](const Env&) {
+    if (calls.fetch_add(1) >= 50) throw std::runtime_error("boom");
+  };
+  support::LatencyHistogram& latency =
+      support::metric_latency("execute.latency");
+  auto expect_nothing_booked = [&](const char* engine,
+                                   const std::function<void()>& run) {
+    calls = 0;
+    const auto before = support::counters_snapshot();
+    const long long samples0 = latency.snapshot().count;
+    EXPECT_THROW(run(), std::runtime_error) << engine;
+    const auto d = exec_delta(before, support::counters_snapshot());
+    const auto runs = d.find("executor.runs");
+    EXPECT_EQ(runs == d.end() ? 0 : runs->second,
+              latency.snapshot().count - samples0)
+        << engine;
+    EXPECT_TRUE(d.empty()) << engine;
+  };
+
+  LinkedRunner linked(link_plan(plan, q));
+  ParallelRunner threaded(link_plan(plan, q), 4);
+  ASSERT_TRUE(threaded.parallel());
+  expect_nothing_booked("interpreted",
+                        [&] { execute_interpreted(plan, q, boom); });
+  expect_nothing_booked("linked", [&] { linked.run(boom); });
+  expect_nothing_booked("threaded", [&] { threaded.run(boom); });
+
+  const Action noop = [](const Env&) {};
+  auto hist = support::histograms_snapshot();
+  const EngineRun ref = run_interpreted(plan, q, noop);
+  const auto ref_fanout = fanout_delta(hist, support::histograms_snapshot());
+  EXPECT_EQ(ref.deltas.at("executor.runs"), 1);
+  auto expect_clean_run = [&](const char* engine,
+                              const std::function<void()>& run) {
+    const auto before = support::counters_snapshot();
+    const auto hist_before = support::histograms_snapshot();
+    run();
+    EXPECT_EQ(exec_delta(before, support::counters_snapshot()), ref.deltas)
+        << engine;
+    EXPECT_EQ(fanout_delta(hist_before, support::histograms_snapshot()),
+              ref_fanout)
+        << engine;
+  };
+  expect_clean_run("linked", [&] { linked.run(noop); });
+  expect_clean_run("threaded", [&] { threaded.run(noop); });
+}
+
 // ---- CompiledKernel copy/move keeps the pre-linked program ----------
 
-// Copies and moves used to silently drop the lazily-built linked program
-// — the next run() paid a hidden re-link. They now re-establish it
-// eagerly, and a moved-from-then-reassigned kernel must behave exactly
-// like the original: same output, same executor.* deltas, and no
-// observable re-link on first use.
+// Copies and moves share the kernel's linked program, and a
+// moved-from-then-reassigned kernel must behave exactly like the
+// original: same output, same executor.* deltas, and no observable
+// re-link on first use.
 TEST(CompiledKernelCache, CopyAndMoveKeepLinkedProgram) {
   Coo coo = random_matrix(24, 24, 100, 33);
   formats::Csr csr = formats::Csr::from_coo(coo);

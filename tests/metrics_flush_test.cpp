@@ -84,13 +84,18 @@ TEST(MetricsFlush, ConcurrentSnapshotsNeverSeeTornFlush) {
       compile_spmv(b, A, ConstVectorView(x), VectorView(y));
   constexpr int kRuns = 400;
 
+  // The runner starts only once the snapshot loop is about to begin, so
+  // the two overlap even when the host delays the snapshot thread.
+  std::atomic<bool> started{false};
   std::atomic<bool> done{false};
   std::thread runner([&] {
+    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
     for (int i = 0; i < kRuns; ++i) k.run();
     done.store(true, std::memory_order_release);
   });
 
   long long checks = 0;
+  started.store(true, std::memory_order_release);
   while (!done.load(std::memory_order_acquire)) {
     const support::MetricsSnapshot s = support::metrics_snapshot();
     const auto [sum, wall] = latency_vs_wall(s);

@@ -59,6 +59,25 @@ TEST(Machine, SameTagIsFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(Machine, ZeroLengthMessage) {
+  // An empty payload is a legal message: it matches by tag and arrives as
+  // an empty vector (its buffer is null, which recv must not memcpy).
+  Machine m(2);
+  std::vector<double> got{1.0};
+  int after = 0;
+  m.run([&](Process& p) {
+    if (p.rank() == 0) {
+      p.send<double>(1, 2, std::span<const double>());
+      p.send_value<int>(1, 3, 7);
+    } else {
+      got = p.recv<double>(0, 2);
+      after = p.recv_value<int>(0, 3);
+    }
+  });
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(after, 7);
+}
+
 TEST(Machine, SelfSendWorks) {
   Machine m(1);
   int got = 0;
