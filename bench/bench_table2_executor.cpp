@@ -48,7 +48,7 @@
 //   --validate-exec-json=FILE   parse FILE with support/json_reader.hpp
 //                               and check the v1 schema (no measuring)
 //
-// `--metrics=<file>` (any axis) writes the serving-metrics registry as
+// `--metrics=<file>` (any axis) writes the metrics registry as
 // Prometheus text at exit (bench::Options::finish). With --check the
 // engine axis also reconciles the serving metrics: one serial linked run
 // books exactly one execute.latency sample whose nanoseconds equal the
@@ -59,10 +59,9 @@
 // section: every measured rung's footprint/seconds against the simulated
 // machine's CostModel peaks.
 //
-// Deprecated aliases (warn once, keep working): --report=json prints the
-// PR-1 stdout report; --exec-json=FILE writes the PR-3
-// bernoulli.bench.exec.v1 snapshot (still how BENCH_exec.json is
-// regenerated).
+// `--exec-json=FILE` (engine axis) writes the bernoulli.bench.exec.v1
+// snapshot — the one writer of BENCH_exec.json, the baseline
+// `bernoulli_report --diff` gates against.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -84,10 +83,7 @@
 #include "formats/ccs.hpp"
 #include "formats/sell.hpp"
 #include "runtime/machine.hpp"
-#include "support/counters.hpp"
-#include "support/histogram.hpp"
 #include "support/metrics.hpp"
-#include "support/profile.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 #include "support/rng.hpp"
@@ -141,88 +137,6 @@ int run_table() {
   return 0;
 }
 
-int run_report() {
-  support::counters_reset();
-  const int iterations = 10;
-
-  support::JsonWriter w(2);
-  w.begin_object();
-  w.key("schema").value("bernoulli.bench.table2.report.v1");
-  w.key("iterations").value(iterations);
-  w.key("cases").begin_array();
-
-  long long commstats_messages = 0;
-  long long commstats_bytes = 0;
-  for (int P : {2, 4, 8}) {
-    bench::Problem prob = bench::build_problem(P);
-    for (Variant v :
-         {Variant::kBlockSolve, Variant::kBernoulliMixed, Variant::kBernoulli}) {
-      auto t = bench::measure_variant_calibrated(prob, P, v, iterations);
-      commstats_messages += t.total_messages;
-      commstats_bytes += t.total_bytes;
-      w.begin_object();
-      w.key("P").value(P);
-      w.key("variant").value(spmd::variant_name(v));
-      w.key("inspector_s").value(t.inspector_s);
-      w.key("executor_s").value(t.executor_s);
-      w.key("inspector_bytes").value(t.inspector_bytes);
-      w.key("exchange").begin_object();
-      w.key("count").value(t.exchanges);
-      w.key("predicted_messages").value(t.predicted_exchange_messages);
-      w.key("predicted_bytes").value(t.predicted_exchange_bytes);
-      w.key("measured_messages_total").value(t.executor_messages);
-      w.key("measured_bytes_total").value(t.executor_bytes);
-      // The executor run exchanges ghosts (iterations + 1) times and sends
-      // nothing else point-to-point, so predicted * count must equal the
-      // measured totals exactly.
-      w.key("match").value(t.predicted_exchange_messages * t.exchanges ==
-                               t.executor_messages &&
-                           t.predicted_exchange_bytes * t.exchanges ==
-                               t.executor_bytes);
-      w.end_object();
-      w.end_object();
-      std::cerr << "  [P=" << P << " " << spmd::variant_name(v) << " done]\n";
-    }
-  }
-  w.end_array();
-
-  // Reconciliation: the phase-split counters booked by the simulated
-  // machine must sum to the CommStats totals gathered from rank reports.
-  auto snap = support::counters_snapshot();
-  long long counter_messages = 0;
-  long long counter_bytes = 0;
-  for (const auto& [name, value] : snap.counts) {
-    if (name.starts_with("comm.") && name.ends_with(".messages"))
-      counter_messages += value;
-    if (name.starts_with("comm.") && name.ends_with(".bytes"))
-      counter_bytes += value;
-  }
-  w.key("reconcile").begin_object();
-  w.key("commstats_messages").value(commstats_messages);
-  w.key("counter_messages").value(counter_messages);
-  w.key("commstats_bytes").value(commstats_bytes);
-  w.key("counter_bytes").value(counter_bytes);
-  const bool ok = commstats_messages == counter_messages &&
-                  commstats_bytes == counter_bytes;
-  w.key("match").value(ok);
-  w.end_object();
-
-  w.key("counters").begin_object();
-  for (const auto& [name, value] : snap.counts) w.key(name).value(value);
-  w.end_object();
-  w.key("vtime_seconds").begin_object();
-  for (const auto& [name, value] : snap.seconds) w.key(name).value(value);
-  w.end_object();
-  w.end_object();
-
-  std::cout << w.str() << "\n";
-  if (!ok) {
-    std::cerr << "RECONCILIATION FAILED: counter totals != CommStats totals\n";
-    return 1;
-  }
-  return 0;
-}
-
 int run_traced(const support::ObsOptions& obs) {
   const int P = 4;
   const int iterations = 10;
@@ -237,6 +151,7 @@ int run_traced(const support::ObsOptions& obs) {
   bench::Problem prob = bench::build_problem(P);
   long long commstats_messages = 0;
   long long commstats_bytes = 0;
+  bool exchange_ok = true;
   for (Variant v :
        {Variant::kBlockSolve, Variant::kBernoulliMixed, Variant::kBernoulli}) {
     auto t = bench::measure_variant_calibrated(prob, P, v, iterations);
@@ -245,16 +160,27 @@ int run_traced(const support::ObsOptions& obs) {
     std::cout << "  " << spmd::variant_name(v) << ": inspector "
               << t.inspector_s << " s, executor " << t.executor_s
               << " s (virtual)\n";
+    // The executor run exchanges ghosts (iterations + 1) times and sends
+    // nothing else point-to-point, so the schedule's predicted traffic
+    // times the exchange count must equal the measured totals exactly.
+    analysis::CommCheck cc;
+    cc.predicted_messages = t.predicted_exchange_messages * t.exchanges;
+    cc.predicted_bytes = t.predicted_exchange_bytes * t.exchanges;
+    cc.measured_messages = t.executor_messages;
+    cc.measured_bytes = t.executor_bytes;
+    if (!cc.match()) {
+      std::cerr << "EXCHANGE RECONCILIATION FAILED: "
+                << spmd::variant_name(v) << " predicted "
+                << cc.predicted_messages << " msgs / " << cc.predicted_bytes
+                << " bytes, measured " << cc.measured_messages << " msgs / "
+                << cc.measured_bytes << " bytes\n";
+      exchange_ok = false;
+    }
     if (!obs.report_path.empty()) {
       std::string base = std::string("table2.P") + std::to_string(P) + "." +
                          spmd::variant_name(v);
       report.metric(base + ".inspector_s", t.inspector_s);
       report.metric(base + ".executor_s", t.executor_s);
-      analysis::CommCheck cc;
-      cc.predicted_messages = t.predicted_exchange_messages * t.exchanges;
-      cc.predicted_bytes = t.predicted_exchange_bytes * t.exchanges;
-      cc.measured_messages = t.executor_messages;
-      cc.measured_bytes = t.executor_bytes;
       report.add_comm_check(base + ".exchange", cc);
     }
   }
@@ -266,7 +192,7 @@ int run_traced(const support::ObsOptions& obs) {
     report.set_critical_path(analysis::critical_path_current());
     report.write(obs.report_path);
   }
-  return 0;
+  return exchange_ok ? 0 : 1;
 }
 
 // ---- Execution-engine axis ------------------------------------------
@@ -299,7 +225,7 @@ struct EngineCase {
   // Under --check: threaded linked run reproduced the serial linked run
   // bitwise with identical executor.* and fanout deltas.
   bool thread_check_ok = true;
-  // Under --check: the serving-metrics registry reconciled across one
+  // Under --check: the serving metrics reconciled across one
   // serial linked run (latency samples == runs, hist sum == wall_ns rate,
   // model bytes/flops == footprint).
   bool metrics_check_ok = true;
@@ -322,40 +248,6 @@ double ns_per_nnz(double seconds, index_t nnz) {
   return seconds * 1e9 / static_cast<double>(nnz);
 }
 
-// executor.* counter deltas across a run (zero deltas elided), for the
-// --threads --check reconciliation against the serial linked engine.
-std::map<std::string, long long> exec_delta(
-    const support::CountersSnapshot& before,
-    const support::CountersSnapshot& after) {
-  std::map<std::string, long long> d;
-  for (const auto& [name, value] : after.counts) {
-    if (name.rfind("executor.", 0) != 0) continue;
-    long long delta = value;
-    if (auto it = before.counts.find(name); it != before.counts.end())
-      delta -= it->second;
-    if (delta != 0) d[name] = delta;
-  }
-  return d;
-}
-
-// executor.fanout.* histogram bucket deltas (all-zero histograms elided).
-std::map<std::string, std::vector<long long>> fanout_delta(
-    const std::map<std::string, std::vector<long long>>& before,
-    const std::map<std::string, std::vector<long long>>& after) {
-  std::map<std::string, std::vector<long long>> d;
-  for (const auto& [name, buckets] : after) {
-    if (name.rfind("executor.fanout.", 0) != 0) continue;
-    std::vector<long long> delta = buckets;
-    if (auto it = before.find(name); it != before.end())
-      for (std::size_t i = 0; i < delta.size() && i < it->second.size(); ++i)
-        delta[i] -= it->second[i];
-    bool any = false;
-    for (long long v : delta) any = any || v != 0;
-    if (any) d[name] = std::move(delta);
-  }
-  return d;
-}
-
 // Serving-metrics deltas across one run window (support/metrics.hpp), for
 // the --check reconciliations: the execute.* registry entries plus the
 // executor.runs counter they must agree with.
@@ -368,30 +260,61 @@ struct ExecMetricsDelta {
   long long flops = 0;    // execute.model_flops rate
 };
 
-ExecMetricsDelta exec_metrics_window(const support::CountersSnapshot& c0,
-                                     const support::MetricsSnapshot& m0,
-                                     const support::CountersSnapshot& c1,
-                                     const support::MetricsSnapshot& m1) {
-  auto cnt = [](const support::CountersSnapshot& s, const char* k) {
-    auto it = s.counts.find(k);
-    return it == s.counts.end() ? 0LL : it->second;
-  };
-  auto rate = [](const support::MetricsSnapshot& s, const char* k) {
-    auto it = s.rates.find(k);
-    return it == s.rates.end() ? 0LL : it->second;
+ExecMetricsDelta exec_metrics_window(const support::MetricsSnapshot& s0,
+                                     const support::MetricsSnapshot& s1) {
+  auto get = [](const std::map<std::string, long long>& m, const char* k) {
+    auto it = m.find(k);
+    return it == m.end() ? 0LL : it->second;
   };
   auto lat = [](const support::MetricsSnapshot& s) {
     auto it = s.latencies.find("execute.latency");
     return it == s.latencies.end() ? support::LatencySnapshot{} : it->second;
   };
   ExecMetricsDelta d;
-  d.runs = cnt(c1, "executor.runs") - cnt(c0, "executor.runs");
-  d.samples = lat(m1).count - lat(m0).count;
-  d.sum_ns = lat(m1).sum_ns - lat(m0).sum_ns;
-  d.wall_ns = rate(m1, "execute.wall_ns") - rate(m0, "execute.wall_ns");
-  d.bytes = rate(m1, "execute.model_bytes") - rate(m0, "execute.model_bytes");
-  d.flops = rate(m1, "execute.model_flops") - rate(m0, "execute.model_flops");
+  d.runs = get(s1.counts, "executor.runs") - get(s0.counts, "executor.runs");
+  d.samples = lat(s1).count - lat(s0).count;
+  d.sum_ns = lat(s1).sum_ns - lat(s0).sum_ns;
+  d.wall_ns =
+      get(s1.rates, "execute.wall_ns") - get(s0.rates, "execute.wall_ns");
+  d.bytes = get(s1.rates, "execute.model_bytes") -
+            get(s0.rates, "execute.model_bytes");
+  d.flops = get(s1.rates, "execute.model_flops") -
+            get(s0.rates, "execute.model_flops");
   return d;
+}
+
+// Everything one run booked, read from the snapshots around it: the
+// executor.* counter deltas and executor.fanout.* bucket deltas (all-zero
+// entries elided) plus the serving-metrics window.
+struct RunWindow {
+  std::map<std::string, long long> counters;
+  std::map<std::string, std::vector<long long>> fanout;
+  ExecMetricsDelta metrics;
+};
+
+template <typename Run>
+RunWindow measure_window(Run&& run) {
+  const support::MetricsSnapshot s0 = support::metrics_snapshot();
+  run();
+  const support::MetricsSnapshot s1 = support::metrics_snapshot();
+  RunWindow w;
+  for (const auto& [name, value] : s1.counts) {
+    if (!name.starts_with("executor.")) continue;
+    auto it = s0.counts.find(name);
+    const long long delta = value - (it == s0.counts.end() ? 0 : it->second);
+    if (delta != 0) w.counters[name] = delta;
+  }
+  for (const auto& [name, buckets] : s1.histograms) {
+    if (!name.starts_with("executor.fanout.")) continue;
+    std::vector<long long> delta = buckets;
+    if (auto it = s0.histograms.find(name); it != s0.histograms.end())
+      for (std::size_t i = 0; i < delta.size() && i < it->second.size(); ++i)
+        delta[i] -= it->second[i];
+    if (std::any_of(delta.begin(), delta.end(), [](long long v) { return v; }))
+      w.fanout[name] = std::move(delta);
+  }
+  w.metrics = exec_metrics_window(s0, s1);
+  return w;
 }
 
 // The serial-vs-threaded serving-metrics invariant: the DETERMINISTIC
@@ -403,6 +326,13 @@ bool deterministic_metrics_match(const ExecMetricsDelta& a,
                                  const ExecMetricsDelta& b) {
   return a.runs == b.runs && a.samples == b.samples && a.bytes == b.bytes &&
          a.flops == b.flops && a.sum_ns == a.wall_ns && b.sum_ns == b.wall_ns;
+}
+
+// A run reproduces the serial linked run's observability: identical
+// executor.* counter and fan-out deltas, matching deterministic metrics.
+bool same_booking(const RunWindow& serial, const RunWindow& other) {
+  return serial.counters == other.counters && serial.fanout == other.fanout &&
+         deterministic_metrics_match(serial.metrics, other.metrics);
 }
 
 // One storage binding of a benchmark matrix. Exactly one pointer is set;
@@ -487,13 +417,10 @@ EngineCase measure_engines(const std::string& label, const EngineMatrix& m,
       // rate delta (the same integer, booked at the same flush site), and
       // the model-traffic rates advance by exactly the link-time
       // footprint. The warm run above already registered the metrics.
-      auto c0 = support::counters_snapshot();
-      auto m0 = support::metrics_snapshot();
-      const support::ProfileSnapshot p0 = support::profile_snapshot();
+      const support::MetricsSnapshot s0 = support::metrics_snapshot();
       runner.run(mac);
-      const ExecMetricsDelta d =
-          exec_metrics_window(c0, m0, support::counters_snapshot(),
-                              support::metrics_snapshot());
+      const support::MetricsSnapshot s1 = support::metrics_snapshot();
+      const ExecMetricsDelta d = exec_metrics_window(s0, s1);
       out.metrics_check_ok =
           d.runs == 1 && d.samples == d.runs && d.sum_ns == d.wall_ns &&
           (!out.footprint.exact || (d.bytes == out.footprint.total_bytes() &&
@@ -512,8 +439,8 @@ EngineCase measure_engines(const std::string& label, const EngineMatrix& m,
         // is sampled + extrapolated, so the bound is [25%, 150%] of wall
         // (the estimator clamps each run's total at 100% of its own
         // wall; the upper slack only absorbs snapshot boundary noise).
-        const support::ProfileSnapshot p1 = support::profile_snapshot();
-        const long long self = p1.total_self_ns() - p0.total_self_ns();
+        const long long self =
+            s1.profile.total_self_ns() - s0.profile.total_self_ns();
         out.profile_check_ok = self > 0 &&
                                2 * self <= 3 * d.wall_ns &&
                                4 * self >= d.wall_ns;
@@ -535,31 +462,12 @@ EngineCase measure_engines(const std::string& label, const EngineMatrix& m,
       // executor.fanout.* histogram deltas — before its timing counts.
       LinkedRunner serial(link_plan(k.plan(), k.query()));
       std::fill(y.begin(), y.end(), 0.0);
-      auto h0 = support::histograms_snapshot();
-      auto c0 = support::counters_snapshot();
-      auto m0 = support::metrics_snapshot();
-      serial.run(mac);
-      auto c1 = support::counters_snapshot();
-      auto m1 = support::metrics_snapshot();
-      const auto serial_counters = exec_delta(c0, c1);
-      const auto serial_fanout = fanout_delta(h0, support::histograms_snapshot());
-      const ExecMetricsDelta serial_metrics =
-          exec_metrics_window(c0, m0, c1, m1);
+      const RunWindow serial_run = measure_window([&] { serial.run(mac); });
       Vector y_serial = y;
 
       std::fill(y.begin(), y.end(), 0.0);
-      h0 = support::histograms_snapshot();
-      c0 = support::counters_snapshot();
-      m0 = support::metrics_snapshot();
-      runner.run(mac);
-      c1 = support::counters_snapshot();
-      m1 = support::metrics_snapshot();
-      out.thread_check_ok =
-          serial_counters == exec_delta(c0, c1) &&
-          serial_fanout == fanout_delta(h0, support::histograms_snapshot()) &&
-          y == y_serial &&
-          deterministic_metrics_match(serial_metrics,
-                                      exec_metrics_window(c0, m0, c1, m1));
+      const RunWindow threaded = measure_window([&] { runner.run(mac); });
+      out.thread_check_ok = same_booking(serial_run, threaded) && y == y_serial;
       if (!out.thread_check_ok)
         std::cerr << "  [" << label << " " << out.format << " threads="
                   << threads << " MISMATCH vs serial linked]\n";
@@ -585,32 +493,13 @@ EngineCase measure_engines(const std::string& label, const EngineMatrix& m,
         // executor.* counter deltas, executor.fanout.* histogram deltas.
         LinkedRunner serial(link_plan(k.plan(), k.query()));
         std::fill(y.begin(), y.end(), 0.0);
-        auto h0 = support::histograms_snapshot();
-        auto c0 = support::counters_snapshot();
-        auto m0 = support::metrics_snapshot();
-        serial.run(mac);
-        auto c1 = support::counters_snapshot();
-        auto m1 = support::metrics_snapshot();
-        const auto serial_counters = exec_delta(c0, c1);
-        const auto serial_fanout =
-            fanout_delta(h0, support::histograms_snapshot());
-        const ExecMetricsDelta serial_metrics =
-            exec_metrics_window(c0, m0, c1, m1);
+        const RunWindow serial_run = measure_window([&] { serial.run(mac); });
         Vector y_serial = y;
 
         std::fill(y.begin(), y.end(), 0.0);
-        h0 = support::histograms_snapshot();
-        c0 = support::counters_snapshot();
-        m0 = support::metrics_snapshot();
-        spec.run();
-        c1 = support::counters_snapshot();
-        m1 = support::metrics_snapshot();
+        const RunWindow specialized = measure_window([&] { spec.run(); });
         out.specialized_check_ok =
-            serial_counters == exec_delta(c0, c1) &&
-            serial_fanout == fanout_delta(h0, support::histograms_snapshot()) &&
-            y == y_serial &&
-            deterministic_metrics_match(serial_metrics,
-                                        exec_metrics_window(c0, m0, c1, m1));
+            same_booking(serial_run, specialized) && y == y_serial;
         if (!out.specialized_check_ok)
           std::cerr << "  [" << label << " " << out.format
                     << " specialized MISMATCH vs serial linked]\n";
@@ -982,8 +871,8 @@ int run_engines(const std::string& which, bool small, bool check,
     // diffable metric surface, so `bernoulli_report regress` can point at
     // the level whose self-time moved when an exec.* gate trips.
     if (support::profiling_enabled()) {
-      const support::JsonValue prof =
-          support::json_parse(support::profile_json());
+      const support::JsonValue prof = support::json_parse(
+          support::profile_json(support::metrics_snapshot()));
       for (const auto& [name, v] : analysis::profile_flat_metrics(prof))
         report.metric(name, v);
     }
@@ -1110,11 +999,7 @@ int main(int argc, char** argv) {
   std::string exec_json;
   std::string validate_json;
   for (const std::string& arg : opts.rest) {
-    if (arg.rfind("--exec-json=", 0) == 0) {
-      support::warn_deprecated_flag("--exec-json",
-                                    "--report=<file> (bernoulli.run.v1)");
-      exec_json = arg.substr(12);
-    }
+    if (arg.rfind("--exec-json=", 0) == 0) exec_json = arg.substr(12);
     if (arg.rfind("--validate-exec-json=", 0) == 0)
       validate_json = arg.substr(21);
   }
@@ -1125,11 +1010,6 @@ int main(int argc, char** argv) {
     rc = run_engines(opts.engine.empty() ? "all" : opts.engine, opts.small,
                      opts.check, opts.threads, exec_json,
                      opts.obs.report_path);
-  } else if (opts.obs.legacy_report_stdout()) {
-    // Explicit --report=<file> wins over the deprecated --report=json
-    // alias in either flag order; the stdout report only runs when no
-    // run-report file was requested.
-    rc = run_report();
   } else if (opts.obs.active()) {
     rc = run_traced(opts.obs);
   } else {

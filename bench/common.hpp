@@ -35,8 +35,8 @@ namespace bernoulli::bench {
 /// The flags every bench spells identically, parsed in ONE place so a new
 /// flag (like --metrics) lands in every tool at once:
 ///   --trace=<f> --comm-matrix --report=<f>   observability (ObsOptions)
-///   --metrics=<f>   Prometheus text exposition of the serving-metrics
-///                   registry, written by finish() at the end of the run
+///   --metrics=<f>   Prometheus text exposition of the serving metrics,
+///                   written by finish() at the end of the run
 ///   --profile=<f>   enables per-level time attribution for the whole run
 ///                   and writes collapsed-stack flamegraph lines
 ///                   (support/profile.hpp) from finish()
@@ -90,7 +90,7 @@ struct Options {
   void finish() const {
     if (!profile_path.empty()) {
       std::ofstream out(profile_path);
-      out << support::profile_collapsed();
+      out << support::profile_collapsed(support::metrics_snapshot());
       if (!out) {
         std::cerr << "error: cannot write --profile file " << profile_path
                   << "\n";
@@ -164,7 +164,7 @@ struct VariantTiming {
 
   // Measured: runtime::CommStats totals summed over ranks — the timed
   // executor run alone, and every machine run the measurement performed
-  // (for reconciling against the comm.* counter registry).
+  // (for reconciling against the comm.* counters).
   long long executor_messages = 0;
   long long executor_bytes = 0;
   long long total_messages = 0;

@@ -173,17 +173,19 @@ std::string RunReport::json(int indent) const {
   else
     w.raw(critical_path_json_);
 
-  // Registry snapshots, taken now (build the report after obs_end()).
+  // Registry sections, all rendered from ONE snapshot taken now (build the
+  // report after obs_end()), so they describe the same set of whole runs.
+  const support::MetricsSnapshot snap = support::metrics_snapshot();
   w.key("comm_matrix").raw(support::comm_matrix_json());
-  w.key("histograms").raw(support::histograms_json());
-  w.key("counters").raw(support::counters_json());
-  // The serving-metrics registry (support/metrics.hpp), embedded as its
-  // own schema so metrics-only consumers can lift the block out verbatim.
-  w.key("metrics_registry").raw(support::metrics_json());
+  w.key("histograms").raw(support::histograms_json(snap));
+  w.key("counters").raw(support::counters_json(snap));
+  // The serving metrics (support/metrics.hpp), embedded as their own
+  // schema so metrics-only consumers can lift the block out verbatim.
+  w.key("metrics_registry").raw(support::metrics_json(snap));
   // Per-level time attribution (support/profile.hpp): a
   // bernoulli.profile.v1 block when the run profiled, "{}" otherwise —
   // the block `bernoulli_report profile` renders and diffs.
-  w.key("profile_registry").raw(support::profile_json());
+  w.key("profile_registry").raw(support::profile_json(snap));
   w.end_object();
 
   std::string out = w.str();

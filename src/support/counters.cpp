@@ -1,7 +1,6 @@
 #include "support/counters.hpp"
 
-#include <deque>
-#include <mutex>
+#include <algorithm>
 #include <sstream>
 
 #include "support/json_writer.hpp"
@@ -11,82 +10,11 @@ namespace bernoulli::support {
 
 namespace {
 
-// Leaked on purpose: counters are incremented from rank threads that may
-// outlive static-destruction order in exotic shutdown paths; a leaked
-// registry makes every Counter& valid for the whole process lifetime.
-template <typename T>
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, T*> by_name;
-  std::deque<T> storage;
-
-  T& get(const std::string& name) {
-    std::lock_guard<std::mutex> lk(mu);
-    auto it = by_name.find(name);
-    if (it != by_name.end()) return *it->second;
-    storage.emplace_back();
-    by_name.emplace(name, &storage.back());
-    return storage.back();
-  }
-};
-
-Registry<Counter>& count_registry() {
-  static Registry<Counter>* r = new Registry<Counter>();
-  return *r;
-}
-
-Registry<TimeCounter>& time_registry() {
-  static Registry<TimeCounter>* r = new Registry<TimeCounter>();
-  return *r;
-}
-
 thread_local std::string t_phase = "main";
 
 }  // namespace
 
-Counter& counter(const std::string& name) {
-  return count_registry().get(name);
-}
-
-TimeCounter& time_counter(const std::string& name) {
-  return time_registry().get(name);
-}
-
-CountersSnapshot counters_snapshot() {
-  CountersSnapshot snap;
-  // Under the observability commit lock (metrics.hpp): counters are booked
-  // as part of per-run flush groups, and a snapshot must not observe half
-  // of one run's group.
-  const std::unique_lock<std::mutex> commit = metrics_commit_lock();
-  {
-    auto& r = count_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (const auto& [name, c] : r.by_name) snap.counts[name] = c->value();
-  }
-  {
-    auto& r = time_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (const auto& [name, c] : r.by_name) snap.seconds[name] = c->seconds();
-  }
-  return snap;
-}
-
-void counters_reset() {
-  const std::unique_lock<std::mutex> commit = metrics_commit_lock();
-  {
-    auto& r = count_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (auto& [name, c] : r.by_name) c->reset();
-  }
-  {
-    auto& r = time_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (auto& [name, c] : r.by_name) c->reset();
-  }
-}
-
-std::string counters_text(bool skip_zero) {
-  CountersSnapshot snap = counters_snapshot();
+std::string counters_text(const MetricsSnapshot& snap, bool skip_zero) {
   // Width over the counters that will actually print, so filtering zeros
   // cannot change the alignment of what remains.
   std::size_t width = 0;
@@ -108,8 +36,7 @@ std::string counters_text(bool skip_zero) {
   return os.str();
 }
 
-std::string counters_json(int indent) {
-  CountersSnapshot snap = counters_snapshot();
+std::string counters_json(const MetricsSnapshot& snap, int indent) {
   JsonWriter w(indent);
   w.begin_object();
   w.key("counts").begin_object();

@@ -1,12 +1,15 @@
 // Pipeline-wide runtime counters (the observability layer).
 //
-// A process-global registry of named monotonic counters, threaded through
-// the join executor (probes, merge steps, tuples), the relation views
-// (hash probes, accumulator fill-ins), the communication schedules and the
-// simulated machine (per-phase messages/bytes/virtual time). Counter
-// lookups are mutex-protected, but the returned Counter& is stable for the
-// life of the process, so hot paths pay one lookup (function-local static)
-// and then a relaxed atomic add per event.
+// Named monotonic counters and time counters, threaded through the join
+// executor (probes, merge steps, tuples), the relation views (hash probes,
+// accumulator fill-ins), the communication schedules and the simulated
+// machine (per-phase messages/bytes/virtual time). Both kinds live in the
+// one observability registry (support/metrics.hpp): counter(name) is a
+// mutex-protected lookup, but the returned Counter& is stable for the life
+// of the process, so hot paths pay one lookup (function-local static) and
+// then a relaxed atomic add per event. They are read through the one
+// snapshot (metrics_snapshot().counts / .seconds) and zeroed by the one
+// reset (metrics_reset()).
 //
 // Phases: instrumented communication and virtual-time counters are split
 // by a per-thread PHASE TAG ("main" by default; the inspector/executor
@@ -16,7 +19,6 @@
 #pragma once
 
 #include <atomic>
-#include <map>
 #include <string>
 #include <string_view>
 
@@ -52,27 +54,17 @@ class TimeCounter {
 Counter& counter(const std::string& name);
 TimeCounter& time_counter(const std::string& name);
 
-struct CountersSnapshot {
-  std::map<std::string, long long> counts;
-  std::map<std::string, double> seconds;
-};
+struct MetricsSnapshot;  // support/metrics.hpp
 
-/// Snapshot of every registered counter (zero-valued ones included).
-CountersSnapshot counters_snapshot();
-
-/// Zeroes every registered counter. Registered names (and addresses)
-/// survive the reset — tests use reset + run + snapshot.
-void counters_reset();
-
-/// Renders a snapshot as an aligned text block. Deterministic: one line
-/// per counter, sorted by name (count counters first, then time counters),
-/// two spaces of padding to the widest included name. `skip_zero` filters
-/// zero-valued counters — with a long-lived registry most names are noise
-/// for any single run, so reports pass true.
-std::string counters_text(bool skip_zero = false);
+/// Renders a snapshot's counters as an aligned text block. Deterministic:
+/// one line per counter, sorted by name (count counters first, then time
+/// counters), two spaces of padding to the widest included name.
+/// `skip_zero` filters zero-valued counters — with a long-lived registry
+/// most names are noise for any single run, so reports pass true.
+std::string counters_text(const MetricsSnapshot& snap, bool skip_zero = false);
 
 /// JSON object {"counts": {...}, "seconds": {...}}, sorted by name.
-std::string counters_json(int indent = 0);
+std::string counters_json(const MetricsSnapshot& snap, int indent = 0);
 
 /// Per-thread phase tag, prepended as "comm.<phase>." / "vtime.<phase>."
 /// by the instrumented communication layer. Defaults to "main". The tag

@@ -1,28 +1,12 @@
 #include "support/histogram.hpp"
 
-#include <deque>
-#include <mutex>
+#include <algorithm>
 #include <sstream>
 
 #include "support/json_writer.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::support {
-
-namespace {
-
-// Leaked on purpose, same policy as the counter registry.
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, Log2Histogram*> by_name;
-  std::deque<Log2Histogram> storage;
-};
-
-Registry& reg() {
-  static Registry* r = new Registry();
-  return *r;
-}
-
-}  // namespace
 
 std::string Log2Histogram::bucket_label(int i) {
   if (i == 0) return "0";
@@ -33,39 +17,9 @@ std::string Log2Histogram::bucket_label(int i) {
   return std::to_string(lo) + "-" + std::to_string(hi);
 }
 
-Log2Histogram& histogram(const std::string& name) {
-  auto& r = reg();
-  std::lock_guard<std::mutex> lk(r.mu);
-  auto it = r.by_name.find(name);
-  if (it != r.by_name.end()) return *it->second;
-  r.storage.emplace_back();
-  r.by_name.emplace(name, &r.storage.back());
-  return r.storage.back();
-}
-
-std::map<std::string, std::vector<long long>> histograms_snapshot() {
-  std::map<std::string, std::vector<long long>> snap;
-  auto& r = reg();
-  std::lock_guard<std::mutex> lk(r.mu);
-  for (const auto& [name, h] : r.by_name) {
-    std::vector<long long> buckets(Log2Histogram::kBuckets);
-    for (int i = 0; i < Log2Histogram::kBuckets; ++i)
-      buckets[static_cast<std::size_t>(i)] = h->bucket(i);
-    snap.emplace(name, std::move(buckets));
-  }
-  return snap;
-}
-
-void histograms_reset() {
-  auto& r = reg();
-  std::lock_guard<std::mutex> lk(r.mu);
-  for (auto& [name, h] : r.by_name) h->reset();
-}
-
-std::string histograms_text(bool include_empty) {
-  auto snap = histograms_snapshot();
+std::string histograms_text(const MetricsSnapshot& snap, bool include_empty) {
   std::ostringstream os;
-  for (const auto& [name, buckets] : snap) {
+  for (const auto& [name, buckets] : snap.histograms) {
     long long total = 0;
     for (long long c : buckets) total += c;
     if (total == 0 && !include_empty) continue;
@@ -83,11 +37,10 @@ std::string histograms_text(bool include_empty) {
   return os.str();
 }
 
-std::string histograms_json(int indent) {
-  auto snap = histograms_snapshot();
+std::string histograms_json(const MetricsSnapshot& snap, int indent) {
   JsonWriter w(indent);
   w.begin_object();
-  for (const auto& [name, buckets] : snap) {
+  for (const auto& [name, buckets] : snap.histograms) {
     long long total = 0;
     for (long long c : buckets) total += c;
     if (total == 0) continue;

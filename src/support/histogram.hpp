@@ -6,18 +6,18 @@
 // atomics (same contract as support::Counter): totals are exact, cheap
 // enough to stay always-on in hot paths — one add per event, no locks.
 //
-// The registry mirrors support/counters.hpp: histogram(name) registers on
-// first use and returns a reference that stays valid for the life of the
-// process. The machine feeds "comm.message_bytes" (payload size of every
-// modeled point-to-point message) and the plan interpreter feeds
+// Histograms live in the one observability registry (support/metrics.hpp):
+// histogram(name) registers on first use and returns a reference that
+// stays valid for the life of the process; they are read through the one
+// snapshot (metrics_snapshot().histograms) and zeroed by the one reset
+// (metrics_reset()). The machine feeds "comm.message_bytes" (payload size
+// of every modeled point-to-point message) and the plan interpreter feeds
 // "executor.fanout.level<d>" (bindings produced per invocation of join
 // level d) — the two distributions the paper's overhead analysis turns on.
 #pragma once
 
 #include <atomic>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace bernoulli::support {
 
@@ -66,18 +66,16 @@ class Log2Histogram {
 /// the life of the process.
 Log2Histogram& histogram(const std::string& name);
 
-/// Bucket counts of every registered histogram, sorted by name.
-std::map<std::string, std::vector<long long>> histograms_snapshot();
+struct MetricsSnapshot;  // support/metrics.hpp
 
-/// Zeroes every registered histogram (names survive, like counters).
-void histograms_reset();
-
-/// Aligned text block; histograms with zero total are skipped unless
-/// `include_empty`. Deterministic: sorted by name, fixed bucket labels.
-std::string histograms_text(bool include_empty = false);
+/// A snapshot's histograms as an aligned text block; histograms with zero
+/// total are skipped unless `include_empty`. Deterministic: sorted by
+/// name, fixed bucket labels.
+std::string histograms_text(const MetricsSnapshot& snap,
+                            bool include_empty = false);
 
 /// JSON object {name: {"buckets": [{"range": "2-3", "count": n}, ...],
 /// "total": n}, ...}; empty buckets are elided.
-std::string histograms_json(int indent = 0);
+std::string histograms_json(const MetricsSnapshot& snap, int indent = 0);
 
 }  // namespace bernoulli::support

@@ -3,49 +3,84 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <deque>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
+#include <variant>
 
+#include "support/error.hpp"
 #include "support/json_writer.hpp"
 
 namespace bernoulli::support {
 
 namespace {
 
-// Leaked on purpose, like the counter registry: worker threads may outlive
-// static-destruction order, and a leaked registry keeps every returned
-// reference valid for the whole process lifetime.
-template <typename T>
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, T*> by_name;
-  std::deque<T> storage;
+// The one registry. Leaked on purpose: worker threads may book during
+// late shutdown, past static destruction, and a leaked registry keeps
+// every returned reference valid for the whole process lifetime. Each
+// entry owns exactly one metric of one kind; the map is the only storage
+// (node-based, so entries never move).
+using Entry = std::variant<std::unique_ptr<Counter>,
+                           std::unique_ptr<TimeCounter>,
+                           std::unique_ptr<Log2Histogram>,
+                           std::unique_ptr<MetricRate>,
+                           std::unique_ptr<MetricGauge>,
+                           std::unique_ptr<LatencyHistogram>>;
 
-  T& get(const std::string& name) {
-    std::lock_guard<std::mutex> lk(mu);
-    auto it = by_name.find(name);
-    if (it != by_name.end()) return *it->second;
-    storage.emplace_back();
-    by_name.emplace(name, &storage.back());
-    return storage.back();
-  }
+struct Registry {
+  std::mutex mu;  // guards by_name
+  std::map<std::string, Entry> by_name;
+  ProfileSnapshot profile;  // guarded by metrics_commit_mutex(), not mu
 };
 
-Registry<MetricRate>& rate_registry() {
-  static Registry<MetricRate>* r = new Registry<MetricRate>();
+Registry& registry() {
+  static Registry* r = new Registry();
   return *r;
 }
 
-Registry<MetricGauge>& gauge_registry() {
-  static Registry<MetricGauge>* r = new Registry<MetricGauge>();
-  return *r;
+template <typename T>
+T& lookup(const std::string& name) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lk(r.mu);
+  auto it = r.by_name.find(name);
+  if (it == r.by_name.end())
+    it = r.by_name.emplace(name, std::make_unique<T>()).first;
+  auto* held = std::get_if<std::unique_ptr<T>>(&it->second);
+  BERNOULLI_CHECK_MSG(held != nullptr,
+                      "metric '" << name
+                                 << "' is already registered as another kind");
+  return **held;
 }
 
-Registry<LatencyHistogram>& latency_registry() {
-  static Registry<LatencyHistogram>* r = new Registry<LatencyHistogram>();
-  return *r;
+// One entry's value into the snapshot map of its kind. The registry walk
+// is in name order, so every insert lands at the end (hinted, O(1)).
+template <typename Map, typename V>
+void put(Map& m, const std::string& name, V&& v) {
+  m.emplace_hint(m.end(), name, std::forward<V>(v));
+}
+
+void read(MetricsSnapshot& s, const std::string& n, const Counter& m) {
+  put(s.counts, n, m.value());
+}
+void read(MetricsSnapshot& s, const std::string& n, const TimeCounter& m) {
+  put(s.seconds, n, m.seconds());
+}
+void read(MetricsSnapshot& s, const std::string& n, const Log2Histogram& m) {
+  std::vector<long long> buckets(Log2Histogram::kBuckets);
+  for (int i = 0; i < Log2Histogram::kBuckets; ++i)
+    buckets[static_cast<std::size_t>(i)] = m.bucket(i);
+  put(s.histograms, n, std::move(buckets));
+}
+void read(MetricsSnapshot& s, const std::string& n, const MetricRate& m) {
+  put(s.rates, n, m.value());
+}
+void read(MetricsSnapshot& s, const std::string& n, const MetricGauge& m) {
+  put(s.gauges, n, m.value());
+}
+void read(MetricsSnapshot& s, const std::string& n,
+          const LatencyHistogram& m) {
+  put(s.latencies, n, m.snapshot());
 }
 
 // `a.b.c` -> `a_b_c`: Prometheus metric names allow [a-zA-Z0-9_:] only.
@@ -163,67 +198,65 @@ long long LatencySnapshot::quantile_ns(double q) const {
   return max_ns;
 }
 
+Counter& counter(const std::string& name) { return lookup<Counter>(name); }
+
+TimeCounter& time_counter(const std::string& name) {
+  return lookup<TimeCounter>(name);
+}
+
+Log2Histogram& histogram(const std::string& name) {
+  return lookup<Log2Histogram>(name);
+}
+
 MetricRate& metric_rate(const std::string& name) {
-  return rate_registry().get(name);
+  return lookup<MetricRate>(name);
 }
 
 MetricGauge& metric_gauge(const std::string& name) {
-  return gauge_registry().get(name);
+  return lookup<MetricGauge>(name);
 }
 
 LatencyHistogram& metric_latency(const std::string& name) {
-  return latency_registry().get(name);
+  return lookup<LatencyHistogram>(name);
 }
 
 std::mutex& metrics_commit_mutex() {
-  // Leaked like the registries: flush sites may run during late shutdown.
+  // Leaked like the registry: flush sites may run during late shutdown.
   static std::mutex* mu = new std::mutex();
   return *mu;
 }
 
+ProfileSnapshot& profile_totals() { return registry().profile; }
+
 MetricsSnapshot metrics_snapshot() {
   MetricsSnapshot snap;
+  // Calibrated once per process; kept outside the lock so the first
+  // snapshot never holds the commit lock through the calibration loop.
+  const long long timer_cost_ns = profile_timer_cost_ns();
+  Registry& r = registry();
   const std::unique_lock<std::mutex> commit = metrics_commit_lock();
   {
-    auto& r = rate_registry();
     std::lock_guard<std::mutex> lk(r.mu);
-    for (const auto& [name, m] : r.by_name) snap.rates[name] = m->value();
+    for (const auto& [name, entry] : r.by_name)
+      std::visit([&](const auto& m) { read(snap, name, *m); }, entry);
   }
-  {
-    auto& r = gauge_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (const auto& [name, m] : r.by_name) snap.gauges[name] = m->value();
-  }
-  {
-    auto& r = latency_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (const auto& [name, m] : r.by_name)
-      snap.latencies[name] = m->snapshot();
-  }
+  snap.profile = r.profile;
+  snap.profile.timer_cost_ns = timer_cost_ns;
   return snap;
 }
 
 void metrics_reset() {
+  Registry& r = registry();
   const std::unique_lock<std::mutex> commit = metrics_commit_lock();
   {
-    auto& r = rate_registry();
     std::lock_guard<std::mutex> lk(r.mu);
-    for (auto& [name, m] : r.by_name) m->reset();
+    for (auto& [name, entry] : r.by_name)
+      std::visit([](const auto& m) { m->reset(); }, entry);
   }
-  {
-    auto& r = gauge_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (auto& [name, m] : r.by_name) m->reset();
-  }
-  {
-    auto& r = latency_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (auto& [name, m] : r.by_name) m->reset();
-  }
+  r.profile = ProfileSnapshot{};
 }
 
-std::string metrics_json(int indent) {
-  MetricsSnapshot snap = metrics_snapshot();
+std::string metrics_json(const MetricsSnapshot& snap, int indent) {
   JsonWriter w(indent);
   w.begin_object();
   w.key("schema").value("bernoulli.metrics.v1");
@@ -260,8 +293,7 @@ std::string metrics_json(int indent) {
   return w.str();
 }
 
-std::string metrics_prometheus_text() {
-  MetricsSnapshot snap = metrics_snapshot();
+std::string metrics_prometheus_text(const MetricsSnapshot& snap) {
   std::ostringstream os;
   for (const auto& [name, v] : snap.rates) {
     const std::string p = "bernoulli_" + prom_name(name) + "_total";
@@ -302,12 +334,11 @@ std::string metrics_prometheus_text() {
 bool metrics_write_prometheus(const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
-  out << metrics_prometheus_text();
+  out << metrics_prometheus_text(metrics_snapshot());
   return static_cast<bool>(out);
 }
 
-std::string metrics_text(bool skip_zero) {
-  MetricsSnapshot snap = metrics_snapshot();
+std::string metrics_text(const MetricsSnapshot& snap, bool skip_zero) {
   std::size_t width = 0;
   for (const auto& [name, v] : snap.rates)
     if (!skip_zero || v != 0) width = std::max(width, name.size());

@@ -1,10 +1,27 @@
-// Serving-era metrics: rates, gauges, and latency histograms.
+// The one observability registry, and the serving-era metric kinds.
 //
-// A second process-global registry next to the counter registry
-// (counters.hpp), for the numbers a *server* needs rather than the numbers
-// a *compiler* needs: how long did each execute take (distribution, not
-// just total), how many model-bytes did it move, what is the current
-// residual. Three metric kinds:
+// Every named metric the pipeline books lives in ONE process-global
+// registry: one mutex, one name -> entry map. An entry holds exactly one
+// of six kinds — Counter and TimeCounter (counters.hpp), Log2Histogram
+// (histogram.hpp), and the three serving kinds defined here — and looking
+// a name up as a different kind than it was registered with is a checked
+// error. The typed lookups (counter(), time_counter(), histogram(),
+// metric_rate(), metric_gauge(), metric_latency()) register on first use
+// and return a reference that stays valid for the life of the process, so
+// hot paths resolve once and then pay one relaxed atomic op per event.
+// The per-level profile totals (profile.hpp) are part of the same
+// registry.
+//
+// One snapshot, one reset: metrics_snapshot() reads every entry and the
+// profile totals under the commit lock (below), so a reader sees each
+// run's booked group whole; metrics_reset() zeroes the same set under the
+// same lock. Every renderer — counters_text/json, histograms_text/json,
+// metrics_json/text/prometheus_text, profile_json/collapsed — formats a
+// MetricsSnapshot, so a report rendered from one snapshot is one state.
+//
+// The serving kinds answer what a *server* asks rather than what a
+// *compiler* asks: how long did each execute take (distribution, not just
+// total), how many model-bytes did it move, what is the current residual.
 //
 //   MetricRate       monotonic long long, like Counter but thread-sharded
 //   MetricGauge      last-write-wins double (e.g. cg.residual)
@@ -44,6 +61,10 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "support/counters.hpp"
+#include "support/histogram.hpp"
+#include "support/profile.hpp"
 
 namespace bernoulli::support {
 
@@ -148,29 +169,37 @@ class LatencyHistogram {
 };
 
 /// Registry lookups; register on first use, references stay valid for the
-/// life of the process (same leaked-registry contract as counter()).
+/// life of the process (the registry is leaked on purpose: worker threads
+/// may book during late shutdown).
 MetricRate& metric_rate(const std::string& name);
 MetricGauge& metric_gauge(const std::string& name);
 LatencyHistogram& metric_latency(const std::string& name);
 
+/// One consistent read of the whole registry, one map per kind (zero-valued
+/// entries included), sorted by name.
 struct MetricsSnapshot {
-  std::map<std::string, long long> rates;
-  std::map<std::string, double> gauges;
-  std::map<std::string, LatencySnapshot> latencies;
+  std::map<std::string, long long> counts;    // Counter
+  std::map<std::string, double> seconds;      // TimeCounter
+  std::map<std::string, std::vector<long long>>
+      histograms;                             // Log2Histogram buckets
+  std::map<std::string, long long> rates;     // MetricRate
+  std::map<std::string, double> gauges;       // MetricGauge
+  std::map<std::string, LatencySnapshot> latencies;  // LatencyHistogram
+  ProfileSnapshot profile;                    // per-level profile totals
 };
 
-/// The process-wide observability COMMIT lock. Individual metric and
-/// counter updates are atomic, but a per-run flush books a GROUP of them
-/// (one latency sample, the matching execute.wall_ns delta, the
-/// executor.* counters, the fan-out buckets) that must appear all-or-
-/// nothing to readers: a snapshot taken between two bookings of the same
-/// run would observe a torn state where
-/// execute.latency.sum_ns != execute.wall_ns. compiler::commit_run, the
-/// one place every engine and the server's batch replay book a run, holds
-/// this lock for the duration of the group booking, and
-/// metrics_snapshot()/counters_snapshot() hold it while merging — so
-/// snapshots only ever see whole runs. The hot path (recording inside a run) never touches it;
-/// only the once-per-run commit and the readers do.
+/// The process-wide observability COMMIT lock. Individual updates are
+/// atomic, but a per-run flush books a GROUP of them (one latency sample,
+/// the matching execute.wall_ns delta, the executor.* counters, the
+/// fan-out buckets, the profile flush) that must appear all-or-nothing to
+/// readers: a snapshot taken between two bookings of the same run would
+/// observe a torn state where execute.latency.sum_ns != execute.wall_ns.
+/// compiler::commit_run, the one place every engine and the server's batch
+/// replay book a run, holds this lock for the duration of the group
+/// booking, and metrics_snapshot()/metrics_reset() hold it while they read
+/// or zero — so readers only ever see whole runs. The hot path (recording
+/// inside a run) never touches it; only the once-per-run commit and the
+/// readers do. It also guards the profile totals.
 std::mutex& metrics_commit_mutex();
 
 /// RAII convenience over metrics_commit_mutex().
@@ -178,14 +207,22 @@ inline std::unique_lock<std::mutex> metrics_commit_lock() {
   return std::unique_lock<std::mutex>(metrics_commit_mutex());
 }
 
-/// Snapshot of every registered metric (zero-valued ones included), taken
-/// under the commit lock so concurrent per-run flushes appear atomic.
+/// The registry's profile totals, which profile_commit() and
+/// profile_phase_add() accumulate. Guarded by the commit lock: the caller
+/// holds metrics_commit_lock().
+ProfileSnapshot& profile_totals();
+
+/// THE snapshot: every registered metric of every kind plus the profile
+/// totals, taken under the commit lock so concurrent per-run flushes
+/// appear atomic.
 MetricsSnapshot metrics_snapshot();
 
-/// Zeroes every registered metric; names and addresses survive.
+/// THE reset: zeroes every registered metric and the profile totals under
+/// the commit lock; names and addresses survive (tests use reset + run +
+/// snapshot).
 void metrics_reset();
 
-/// `bernoulli.metrics.v1` JSON document:
+/// `bernoulli.metrics.v1` JSON document of the serving kinds:
 ///   {"schema": "bernoulli.metrics.v1",
 ///    "rates": {name: value, ...},
 ///    "gauges": {name: value, ...},
@@ -193,18 +230,19 @@ void metrics_reset();
 ///                       "p50_ns", "p95_ns", "p99_ns",
 ///                       "buckets": [[lower_ns, count], ...]}, ...}}
 /// Bucket pairs list only non-zero buckets, sorted by lower bound.
-std::string metrics_json(int indent = 0);
+std::string metrics_json(const MetricsSnapshot& snap, int indent = 0);
 
 /// Prometheus text exposition (counter / gauge / histogram families,
 /// names sanitized `a.b.c` -> `bernoulli_a_b_c`, histogram `le` labels in
 /// seconds). Each family carries `# TYPE`; ends with a trailing newline.
-std::string metrics_prometheus_text();
+std::string metrics_prometheus_text(const MetricsSnapshot& snap);
 
-/// Writes metrics_prometheus_text() to `path`; false on I/O failure.
+/// Writes the Prometheus text of a fresh snapshot to `path`; false on I/O
+/// failure.
 bool metrics_write_prometheus(const std::string& path);
 
 /// Aligned text block for humans (rates, then gauges, then latency
 /// summaries), sorted by name. `skip_zero` elides empty metrics.
-std::string metrics_text(bool skip_zero = true);
+std::string metrics_text(const MetricsSnapshot& snap, bool skip_zero = true);
 
 }  // namespace bernoulli::support

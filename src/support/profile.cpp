@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "support/json_writer.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::support {
 
@@ -17,29 +18,6 @@ const char* const kKindNames[kProfKinds] = {"tuple", "merge", "bulk",
                                             "blocked", "sliced"};
 const char* const kPhaseNames[kProfPhases] = {"inspector", "exchange",
                                               "compute"};
-
-// The global profile registry. Flushes are once per run and snapshots are
-// cold, so a mutex (not sharded atomics) is the right tool — and it keeps
-// the self/inclusive raw values coherent, which relaxed per-field atomics
-// would not.
-struct ProfileRegistry {
-  std::mutex mu;
-  int levels = 0;
-  long long self_ns[kProfileMaxLevels][kProfKinds] = {};
-  long long work[kProfileMaxLevels][kProfKinds] = {};
-  long long samples[kProfileMaxLevels][kProfKinds] = {};
-  long long raw_ns[kProfileMaxLevels][kProfKinds] = {};
-  long long raw_incl_ns[kProfileMaxLevels] = {};
-  long long phase_ns[kProfPhases] = {};
-  long long phase_calls[kProfPhases] = {};
-  long long runs = 0;
-  long long wall_ns = 0;
-};
-
-ProfileRegistry& registry() {
-  static ProfileRegistry* r = new ProfileRegistry();  // leaked: outlive exit
-  return *r;
-}
 
 long long calibrate_timer_cost() {
   // Cost of one profile_now_ns() call: time a tight loop of calls, best of
@@ -180,33 +158,27 @@ ProfileFlush profile_estimate(const ProfileScratch& s, long long wall_ns) {
 }
 
 void profile_commit(const ProfileFlush& f) {
-  ProfileRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  if (f.levels > r.levels) r.levels = f.levels;
+  ProfileSnapshot& t = profile_totals();  // caller holds the commit lock
+  if (f.levels > t.levels) t.levels = f.levels;
   for (int d = 0; d < kProfileMaxLevels; ++d) {
-    r.raw_incl_ns[d] += f.raw_incl_ns[d];
+    t.raw_incl_ns[d] += f.raw_incl_ns[d];
     for (int k = 0; k < kProfKinds; ++k) {
-      r.self_ns[d][k] += f.self_ns[d][k];
-      r.work[d][k] += f.work[d][k];
-      r.samples[d][k] += f.samples[d][k];
-      r.raw_ns[d][k] += f.raw_ns[d][k];
+      t.self_ns[d][k] += f.self_ns[d][k];
+      t.work[d][k] += f.work[d][k];
+      t.samples[d][k] += f.samples[d][k];
+      t.raw_ns[d][k] += f.raw_ns[d][k];
     }
   }
-  r.runs += 1;
-  r.wall_ns += f.wall_ns;
-}
-
-void profile_flush(const ProfileScratch& s, long long wall_ns) {
-  if (!s.any()) return;
-  profile_commit(profile_estimate(s, wall_ns));
+  t.runs += 1;
+  t.wall_ns += f.wall_ns;
 }
 
 void profile_phase_add(int phase, long long ns) {
   if (phase < 0 || phase >= kProfPhases) return;
-  ProfileRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.phase_ns[phase] += ns < 0 ? 0 : ns;
-  r.phase_calls[phase] += 1;
+  const std::unique_lock<std::mutex> commit = metrics_commit_lock();
+  ProfileSnapshot& t = profile_totals();
+  t.phase_ns[phase] += ns < 0 ? 0 : ns;
+  t.phase_calls[phase] += 1;
 }
 
 ProfilePhaseScope::ProfilePhaseScope(int phase)
@@ -219,7 +191,7 @@ ProfilePhaseScope::~ProfilePhaseScope() {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot + reset
+// Snapshot accessors
 // ---------------------------------------------------------------------------
 
 long long ProfileSnapshot::level_self_ns(int level) const {
@@ -245,57 +217,12 @@ long long ProfileSnapshot::level_work(int level) const {
   return total;
 }
 
-ProfileSnapshot profile_snapshot() {
-  ProfileRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  ProfileSnapshot s;
-  s.levels = r.levels;
-  for (int d = 0; d < kProfileMaxLevels; ++d) {
-    s.raw_incl_ns[d] = r.raw_incl_ns[d];
-    for (int k = 0; k < kProfKinds; ++k) {
-      s.self_ns[d][k] = r.self_ns[d][k];
-      s.work[d][k] = r.work[d][k];
-      s.samples[d][k] = r.samples[d][k];
-      s.raw_ns[d][k] = r.raw_ns[d][k];
-    }
-  }
-  for (int p = 0; p < kProfPhases; ++p) {
-    s.phase_ns[p] = r.phase_ns[p];
-    s.phase_calls[p] = r.phase_calls[p];
-  }
-  s.runs = r.runs;
-  s.wall_ns = r.wall_ns;
-  s.timer_cost_ns = profile_timer_cost_ns();
-  return s;
-}
-
-void profile_reset() {
-  ProfileRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.levels = 0;
-  for (int d = 0; d < kProfileMaxLevels; ++d) {
-    r.raw_incl_ns[d] = 0;
-    for (int k = 0; k < kProfKinds; ++k) {
-      r.self_ns[d][k] = 0;
-      r.work[d][k] = 0;
-      r.samples[d][k] = 0;
-      r.raw_ns[d][k] = 0;
-    }
-  }
-  for (int p = 0; p < kProfPhases; ++p) {
-    r.phase_ns[p] = 0;
-    r.phase_calls[p] = 0;
-  }
-  r.runs = 0;
-  r.wall_ns = 0;
-}
-
 // ---------------------------------------------------------------------------
 // Exports
 // ---------------------------------------------------------------------------
 
-std::string profile_json() {
-  const ProfileSnapshot s = profile_snapshot();
+std::string profile_json(const MetricsSnapshot& snap) {
+  const ProfileSnapshot& s = snap.profile;
   bool any_phase = false;
   for (int p = 0; p < kProfPhases; ++p)
     if (s.phase_calls[p] != 0) any_phase = true;
@@ -346,8 +273,8 @@ std::string profile_json() {
   return w.str();
 }
 
-std::string profile_collapsed() {
-  const ProfileSnapshot s = profile_snapshot();
+std::string profile_collapsed(const MetricsSnapshot& snap) {
+  const ProfileSnapshot& s = snap.profile;
   std::string out;
   for (int d = 0; d < s.levels && d < kProfileMaxLevels; ++d) {
     for (int k = 0; k < kProfKinds; ++k) {

@@ -1,6 +1,6 @@
 // Per-level time attribution: the fifth observability layer.
 //
-// The counters say how much join work a run did, the metrics registry says
+// The counters say how much join work a run did, the latency metrics say
 // how long runs take in distribution — this layer says WHERE the time went:
 // which plan level, under which drain kind (per-tuple, merge, bulk, blocked,
 // sliced), plus coarse phase attribution (inspector / exchange / compute) on
@@ -15,7 +15,7 @@
 //    range — are exact and always on while profiling is enabled. They are
 //    integer sums of per-event contributions, so a serial run and a
 //    `--threads=N` run produce bitwise-identical work counts (the same
-//    shard-and-merge discipline as the counter registry).
+//    shard-and-merge discipline as the executor counters).
 //  - TIME is *sampled*: every `kProfileSampleEvery`-th outer-level binding
 //    opens a bracket; inside a bracket the engine takes one steady_clock
 //    stamp per level transition (never per tuple) and books the elapsed
@@ -34,10 +34,17 @@
 //    exactly — the invariant tests/profile_test.cpp asserts to catch
 //    shard-merge and flush bugs.
 //
+// Storage: the profile totals are part of the one observability registry
+// (support/metrics.hpp) and are guarded by its commit lock. A run's flush
+// is booked by compiler::commit_run together with the run's counters and
+// latency sample, so metrics_snapshot().profile is always consistent with
+// the executor.* counts of the same snapshot; metrics_reset() clears it.
+//
 // Surfaces: `profile_json()` (schema `bernoulli.profile.v1`, embedded in
 // run reports), `profile_collapsed()` (collapsed-stack flamegraph lines,
 // `plan;level0;...;level<d>;<kind> <self_ns>`, loadable in speedscope /
-// flamegraph.pl), and `analysis/attribution.hpp` for tables and diffs.
+// flamegraph.pl), both rendering a MetricsSnapshot, and
+// `analysis/attribution.hpp` for tables and diffs.
 #pragma once
 
 #include <string>
@@ -46,6 +53,8 @@
 #include <vector>
 
 namespace bernoulli::support {
+
+struct MetricsSnapshot;  // support/metrics.hpp
 
 // ---------------------------------------------------------------------------
 // Kinds, phases, limits
@@ -143,9 +152,9 @@ struct ProfileScratch {
 // Flush: compensate, extrapolate, commit
 // ---------------------------------------------------------------------------
 
-/// What one run commits to the global profile registry. `self_ns` holds the
-/// compensated + extrapolated estimates; the raw sampled values ride along
-/// so the self/inclusive invariant stays checkable after the merge.
+/// What one run commits to the registry's profile totals. `self_ns` holds
+/// the compensated + extrapolated estimates; the raw sampled values ride
+/// along so the self/inclusive invariant stays checkable after the merge.
 struct ProfileFlush {
   int levels = 0;
   long long self_ns[kProfileMaxLevels][kProfKinds] = {};
@@ -161,14 +170,12 @@ struct ProfileFlush {
 ///   self = comp * work / sampled_work   (comp when never sampled)
 ProfileFlush profile_estimate(const ProfileScratch& s, long long wall_ns);
 
-/// Adds a flush into the global registry (one mutex acquisition per run).
+/// Adds a flush into the registry's profile totals. Takes no lock: the
+/// caller holds metrics_commit_lock() (compiler::commit_run books the
+/// flush inside the run's group).
 void profile_commit(const ProfileFlush& f);
 
-/// profile_commit(profile_estimate(s, wall_ns)) — the once-per-run flush
-/// the engines call; a no-op when the scratch saw no work.
-void profile_flush(const ProfileScratch& s, long long wall_ns);
-
-/// Exact phase interval on the distributed path.
+/// Exact phase interval on the distributed path; takes the commit lock.
 void profile_phase_add(int phase, long long ns);
 
 /// RAII phase bracket; books nothing when profiling is off.
@@ -238,9 +245,11 @@ class ProfileClock {
 };
 
 // ---------------------------------------------------------------------------
-// Registry snapshot + exports
+// Totals + exports
 // ---------------------------------------------------------------------------
 
+/// The accumulated profile: the registry's totals and the `profile` member
+/// of every MetricsSnapshot.
 struct ProfileSnapshot {
   int levels = 0;
   long long self_ns[kProfileMaxLevels][kProfKinds] = {};
@@ -265,17 +274,15 @@ struct ProfileSnapshot {
   long long level_work(int level) const;
 };
 
-ProfileSnapshot profile_snapshot();
-void profile_reset();
+/// A snapshot's profile as a `bernoulli.profile.v1` JSON document
+/// (embedded in run reports as `profile_registry`; "{}" when nothing was
+/// profiled).
+std::string profile_json(const MetricsSnapshot& snap);
 
-/// The registry as a `bernoulli.profile.v1` JSON document (embedded in run
-/// reports as `profile_registry`; "{}" when nothing was profiled).
-std::string profile_json();
-
-/// Collapsed-stack flamegraph lines from the current registry:
+/// Collapsed-stack flamegraph lines from a snapshot's profile:
 ///   plan;level0;...;level<d>;<kind> <self_ns>
 /// with phases as `plan;<phase> <ns>`. Empty string when nothing profiled.
-std::string profile_collapsed();
+std::string profile_collapsed(const MetricsSnapshot& snap);
 
 /// Parses collapsed-stack text back into (frames, count) pairs; returns
 /// false on any malformed line. The round-trip partner of

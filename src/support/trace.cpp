@@ -11,6 +11,7 @@
 
 #include "support/error.hpp"
 #include "support/histogram.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::support {
 
@@ -28,7 +29,7 @@ struct TraceEvent {
   std::string args;     // pre-rendered JSON object; empty = none
 };
 
-// Leaked on purpose (same policy as the counter registry): thread-local
+// Leaked on purpose (same policy as the metrics registry): thread-local
 // pointers into the registry stay valid for the whole process lifetime
 // even if threads outlive static destruction order.
 struct ThreadBuffer {
@@ -36,13 +37,13 @@ struct ThreadBuffer {
   std::vector<TraceEvent> events;
 };
 
-struct Registry {
+struct BufferRegistry {
   std::mutex mu;
   std::vector<ThreadBuffer*> buffers;
 };
 
-Registry& registry() {
-  static Registry* r = new Registry();
+BufferRegistry& registry() {
+  static BufferRegistry* r = new BufferRegistry();
   return *r;
 }
 
@@ -360,7 +361,7 @@ std::string trace_json(int indent) {
   w.key("bernoulli").begin_object();
   w.key("schema").value("bernoulli.trace.v1");
   w.key("comm_matrix").raw(comm_matrix_json());
-  w.key("histograms").raw(histograms_json());
+  w.key("histograms").raw(histograms_json(metrics_snapshot()));
   w.end_object();
   w.end_object();
   return w.str();

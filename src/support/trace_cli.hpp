@@ -5,17 +5,10 @@
 // parsed here so every bench spells it identically; the report itself is
 // assembled by the bench via analysis/report.hpp AFTER obs_end()).
 //
-// Deprecated aliases, kept so existing scripts keep working (each warns
-// once on stderr): the literal spelling --report=json is the PR-1 stdout
-// report (any other value is a run-report file path), and --exec-json=
-// is the PR-3 exec-snapshot writer. When both the alias and an explicit
-// --report=<file> appear, the explicit file wins in either flag order —
-// callers must dispatch on legacy_report_stdout(), not legacy_report_json.
-//
 // obs_end() is deliberately strict: given the CommStats totals the caller
 // gathered over every machine run inside the recording window, the comm
 // matrix, the "send" span args inside the exported trace, and the
-// comm.<phase>.* counter registry must all equal them EXACTLY — they are
+// comm.<phase>.* counters must all equal them EXACTLY — they are
 // fed from the single booking site in runtime::Process::send_bytes, and a
 // mismatch means double-booking or a dropped event, so it aborts loudly.
 // Every traced bench run is thereby a reconciliation test.
@@ -23,12 +16,11 @@
 
 #include <cstring>
 #include <iostream>
-#include <set>
 #include <string>
 
-#include "support/counters.hpp"
 #include "support/error.hpp"
 #include "support/json_reader.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 
 namespace bernoulli::support {
@@ -37,15 +29,8 @@ struct ObsOptions {
   std::string trace_path;    // --trace=<file>; empty = no trace
   bool comm_matrix = false;  // --comm-matrix
   std::string report_path;   // --report=<file>; empty = no run report
-  bool legacy_report_json = false;  // deprecated --report=json (stdout)
   bool active() const {
     return !trace_path.empty() || comm_matrix || !report_path.empty();
-  }
-  /// True when the deprecated stdout report should run. An explicit
-  /// --report=<file> wins over the alias regardless of flag order: the
-  /// alias only takes effect when no file report was requested.
-  bool legacy_report_stdout() const {
-    return legacy_report_json && report_path.empty();
   }
   /// Run reports embed a critical path, so requesting one records spans
   /// too (in memory only; nothing hits disk unless --trace asked).
@@ -53,15 +38,6 @@ struct ObsOptions {
     return !trace_path.empty() || !report_path.empty();
   }
 };
-
-/// Warns once per deprecated spelling (process-wide).
-inline void warn_deprecated_flag(const char* old_spelling,
-                                 const char* use_instead) {
-  static std::set<std::string>* warned = new std::set<std::string>();
-  if (warned->insert(old_spelling).second)
-    std::cerr << "warning: " << old_spelling << " is deprecated; use "
-              << use_instead << "\n";
-}
 
 /// Consumes one argv entry; returns false when it is not an
 /// observability flag (so the caller can keep its own parsing).
@@ -74,12 +50,6 @@ inline bool obs_parse_flag(const char* arg, ObsOptions& o) {
     o.comm_matrix = true;
     return true;
   }
-  if (std::strcmp(arg, "--report=json") == 0) {
-    warn_deprecated_flag("--report=json",
-                         "--report=<file> (bernoulli.run.v1)");
-    o.legacy_report_json = true;
-    return true;
-  }
   if (std::strncmp(arg, "--report=", 9) == 0) {
     o.report_path = arg + 9;
     return true;
@@ -87,11 +57,11 @@ inline bool obs_parse_flag(const char* arg, ObsOptions& o) {
   return false;
 }
 
-/// Starts recording. Resets the counter registry so obs_end can reconcile
-/// comm.* against exactly the machine runs inside the window.
+/// Starts recording. Resets the registry so obs_end can reconcile comm.*
+/// against exactly the machine runs inside the window.
 inline void obs_begin(const ObsOptions& o) {
   if (!o.active()) return;
-  counters_reset();
+  metrics_reset();
   if (o.tracing())
     trace_start();  // implies comm-matrix recording
   else
@@ -117,7 +87,7 @@ inline void obs_end(const ObsOptions& o, long long commstats_messages,
 
   long long counter_messages = 0;
   long long counter_bytes = 0;
-  auto snap = counters_snapshot();
+  const MetricsSnapshot snap = metrics_snapshot();
   for (const auto& [name, v] : snap.counts) {
     if (!name.starts_with("comm.")) continue;
     if (name.ends_with(".messages")) counter_messages += v;

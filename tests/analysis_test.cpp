@@ -26,11 +26,9 @@
 #include "solvers/dist_cg.hpp"
 #include "spmd/dist_compile.hpp"
 #include "spmd/matvec.hpp"
-#include "support/counters.hpp"
-#include "support/histogram.hpp"
 #include "support/json_reader.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
-#include "support/trace_cli.hpp"
 #include "workloads/grid.hpp"
 
 namespace bernoulli::analysis {
@@ -211,8 +209,7 @@ TEST(CriticalPath, FourRankSpmvReconcilesAllViews) {
   const int P = 4;
   distrib::BlockDist rows(a.rows(), P);
 
-  support::counters_reset();
-  support::histograms_reset();
+  support::metrics_reset();
   support::trace_start();
   runtime::Machine machine(P);
   machine.set_manual_compute(true);  // only modeled comm advances the clock
@@ -262,7 +259,7 @@ TEST(CriticalPath, FourRankSpmvReconcilesAllViews) {
 
   // ...and with the comm.* counter registry in aggregate.
   long long counter_bytes = 0, counter_messages = 0;
-  for (const auto& [name, v] : support::counters_snapshot().counts) {
+  for (const auto& [name, v] : support::metrics_snapshot().counts) {
     if (name.rfind("comm.", 0) != 0) continue;
     if (name.size() >= 6 && name.compare(name.size() - 6, 6, ".bytes") == 0)
       counter_bytes += v;
@@ -537,37 +534,6 @@ TEST(Report, RunV1RoundTripsAndClearsHooksOnDestruction) {
   }
   // The destructor uninstalled the hooks observe_solves() placed.
   EXPECT_FALSE(solve_hooks_active());
-}
-
-// The deprecated --report=json alias must not steal an explicitly
-// requested --report=<file> run report, regardless of which flag comes
-// first on the command line. Callers dispatch on legacy_report_stdout().
-TEST(ObsFlags, ExplicitReportFileWinsOverDeprecatedAlias) {
-  using support::ObsOptions;
-  using support::obs_parse_flag;
-
-  {  // alias first, explicit file second
-    ObsOptions o;
-    EXPECT_TRUE(obs_parse_flag("--report=json", o));
-    EXPECT_TRUE(obs_parse_flag("--report=out.json", o));
-    EXPECT_EQ(o.report_path, "out.json");
-    EXPECT_TRUE(o.legacy_report_json);
-    EXPECT_FALSE(o.legacy_report_stdout());
-    EXPECT_TRUE(o.active());
-  }
-  {  // explicit file first, alias second
-    ObsOptions o;
-    EXPECT_TRUE(obs_parse_flag("--report=out.json", o));
-    EXPECT_TRUE(obs_parse_flag("--report=json", o));
-    EXPECT_EQ(o.report_path, "out.json");
-    EXPECT_FALSE(o.legacy_report_stdout());
-  }
-  {  // alias alone still selects the stdout report
-    ObsOptions o;
-    EXPECT_TRUE(obs_parse_flag("--report=json", o));
-    EXPECT_TRUE(o.report_path.empty());
-    EXPECT_TRUE(o.legacy_report_stdout());
-  }
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "spmd/comm.hpp"
-#include "support/counters.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::spmd {
 namespace {
@@ -111,7 +111,7 @@ TEST(CommSchedule, ReverseExchangeReconcilesWithExchange) {
   // reverse_exchange_add sends back. So on one schedule the two must book
   // identical message counts and identical byte totals — both in the
   // machine's CommStats and in the comm.* counter registry.
-  support::counters_reset();
+  support::metrics_reset();
 
   runtime::Machine machine(2);
   auto fwd = machine.run([&](runtime::Process& p) {
@@ -119,7 +119,7 @@ TEST(CommSchedule, ReverseExchangeReconcilesWithExchange) {
     Vector x_full{1.0 * p.rank(), 2.0, 3.0, 0.0};
     s.exchange(p, x_full, 21);
   });
-  auto fwd_snap = support::counters_snapshot();
+  auto fwd_snap = support::metrics_snapshot();
 
   runtime::Machine machine2(2);
   auto rev = machine2.run([&](runtime::Process& p) {
@@ -127,7 +127,7 @@ TEST(CommSchedule, ReverseExchangeReconcilesWithExchange) {
     Vector x_full{0.0, 0.0, 0.0, 7.0 + p.rank()};
     s.reverse_exchange_add(p, x_full, 22);
   });
-  auto rev_snap = support::counters_snapshot();
+  auto rev_snap = support::metrics_snapshot();
 
   long long fwd_msgs = fwd[0].stats.messages + fwd[1].stats.messages;
   long long fwd_bytes = fwd[0].stats.bytes + fwd[1].stats.bytes;

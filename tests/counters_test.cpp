@@ -9,6 +9,7 @@
 #include "support/counters.hpp"
 #include "support/error.hpp"
 #include "support/json_writer.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::support {
 namespace {
@@ -134,12 +135,12 @@ TEST(Counters, SnapshotAndReset) {
   counter("test.snap").add(5);
   time_counter("test.snap_time").reset();
   time_counter("test.snap_time").add(0.25);
-  auto snap = counters_snapshot();
+  MetricsSnapshot snap = metrics_snapshot();
   EXPECT_EQ(snap.counts["test.snap"], 5);
   EXPECT_DOUBLE_EQ(snap.seconds["test.snap_time"], 0.25);
 
-  counters_reset();
-  snap = counters_snapshot();
+  metrics_reset();
+  snap = metrics_snapshot();
   EXPECT_EQ(snap.counts["test.snap"], 0);
   EXPECT_DOUBLE_EQ(snap.seconds["test.snap_time"], 0.0);
 }
@@ -186,7 +187,7 @@ TEST(Counters, PhaseScopeRestoresOnException) {
 }
 
 TEST(Counters, TextRenderingIsDeterministicGolden) {
-  counters_reset();
+  metrics_reset();
   counter("test.golden.b").add(2);
   counter("test.golden.a").add(11);
   time_counter("test.golden.t").add(0.5);
@@ -194,19 +195,19 @@ TEST(Counters, TextRenderingIsDeterministicGolden) {
   // registry, leaving exactly the three set above — sorted by name,
   // counts before seconds, two spaces of padding to the widest included
   // name, times in scientific notation with an " s" suffix.
-  EXPECT_EQ(counters_text(/*skip_zero=*/true),
+  EXPECT_EQ(counters_text(metrics_snapshot(), /*skip_zero=*/true),
             "test.golden.a  11\n"
             "test.golden.b  2\n"
             "test.golden.t  5.000e-01 s\n");
 }
 
 TEST(Counters, TextAndJsonRenderings) {
-  counters_reset();
+  metrics_reset();
   counter("test.render").add(9);
   time_counter("test.render_time").add(1.5);
-  std::string text = counters_text();
+  std::string text = counters_text(metrics_snapshot());
   EXPECT_NE(text.find("test.render"), std::string::npos);
-  std::string json = counters_json();
+  std::string json = counters_json(metrics_snapshot());
   EXPECT_NE(json.find("\"test.render\":9"), std::string::npos);
   EXPECT_NE(json.find("\"test.render_time\":1.5"), std::string::npos);
 }

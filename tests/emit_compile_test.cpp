@@ -17,8 +17,7 @@
 #include "formats/ccs.hpp"
 #include "formats/csr.hpp"
 #include "formats/sparse_vector.hpp"
-#include "support/counters.hpp"
-#include "support/histogram.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace bernoulli::compiler {
@@ -155,8 +154,8 @@ TEST(EmitCompile, SparseVectorProbeRunsAndMatches) {
 // bench_table2_executor --engine=specialized --check enforces.
 
 std::map<std::string, long long> exec_delta(
-    const support::CountersSnapshot& before,
-    const support::CountersSnapshot& after) {
+    const support::MetricsSnapshot& before,
+    const support::MetricsSnapshot& after) {
   std::map<std::string, long long> d;
   for (const auto& [name, v] : after.counts) {
     if (name.rfind("executor.", 0) != 0) continue;
@@ -169,13 +168,13 @@ std::map<std::string, long long> exec_delta(
 }
 
 std::map<std::string, std::vector<long long>> fanout_delta(
-    const std::map<std::string, std::vector<long long>>& before,
-    const std::map<std::string, std::vector<long long>>& after) {
+    const support::MetricsSnapshot& before,
+    const support::MetricsSnapshot& after) {
   std::map<std::string, std::vector<long long>> d;
-  for (const auto& [name, buckets] : after) {
+  for (const auto& [name, buckets] : after.histograms) {
     if (name.rfind("executor.fanout.", 0) != 0) continue;
     std::vector<long long> delta = buckets;
-    if (auto it = before.find(name); it != before.end())
+    if (auto it = before.histograms.find(name); it != before.histograms.end())
       for (std::size_t i = 0; i < delta.size() && i < it->second.size(); ++i)
         delta[i] -= it->second[i];
     bool any = false;
@@ -215,13 +214,13 @@ void linked_roundtrip(bool use_ccs) {
   LinkedMac mac = link_mac(k.query(), 1, {2, 3});
 
   // Reference: serial linked engine.
-  auto hb_ref = support::histograms_snapshot();
-  auto cb_ref = support::counters_snapshot();
+  const support::MetricsSnapshot ref0 = support::metrics_snapshot();
   RunStats ref_stats;
   LinkedRunner runner(link_plan(k.plan(), k.query()));
   runner.run(mac, &ref_stats);
-  auto ref_delta = exec_delta(cb_ref, support::counters_snapshot());
-  auto ref_fanout = fanout_delta(hb_ref, support::histograms_snapshot());
+  const support::MetricsSnapshot ref1 = support::metrics_snapshot();
+  auto ref_delta = exec_delta(ref0, ref1);
+  auto ref_fanout = fanout_delta(ref0, ref1);
   Vector y_ref = y;
 
   // The kernel borrows lp and mac; both outlive it here.
@@ -232,12 +231,12 @@ void linked_roundtrip(bool use_ccs) {
             std::string::npos);
 
   std::fill(y.begin(), y.end(), 0.0);
-  auto hb = support::histograms_snapshot();
-  auto cb = support::counters_snapshot();
+  const support::MetricsSnapshot s0 = support::metrics_snapshot();
   RunStats spec_stats;
   spec.run(&spec_stats);
-  EXPECT_EQ(ref_delta, exec_delta(cb, support::counters_snapshot()));
-  EXPECT_EQ(ref_fanout, fanout_delta(hb, support::histograms_snapshot()));
+  const support::MetricsSnapshot s1 = support::metrics_snapshot();
+  EXPECT_EQ(ref_delta, exec_delta(s0, s1));
+  EXPECT_EQ(ref_fanout, fanout_delta(s0, s1));
   EXPECT_EQ(ref_stats.tuples, spec_stats.tuples);
   ASSERT_EQ(ref_stats.levels.size(), spec_stats.levels.size());
   for (std::size_t d = 0; d < ref_stats.levels.size(); ++d) {

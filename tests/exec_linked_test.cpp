@@ -49,8 +49,8 @@ Coo random_matrix(index_t rows, index_t cols, index_t nnz,
 // executor.* counter deltas across a run (zero deltas elided, so the
 // comparison is independent of which counters other tests registered).
 std::map<std::string, long long> exec_delta(
-    const support::CountersSnapshot& before,
-    const support::CountersSnapshot& after) {
+    const support::MetricsSnapshot& before,
+    const support::MetricsSnapshot& after) {
   std::map<std::string, long long> d;
   for (const auto& [name, v] : after.counts) {
     if (name.rfind("executor.", 0) != 0) continue;
@@ -70,18 +70,18 @@ struct EngineRun {
 EngineRun run_interpreted(const Plan& plan, const Query& q,
                           const Action& action) {
   EngineRun r;
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   execute_interpreted(plan, q, action, &r.stats);
-  r.deltas = exec_delta(before, support::counters_snapshot());
+  r.deltas = exec_delta(before, support::metrics_snapshot());
   return r;
 }
 
 EngineRun run_linked(const Plan& plan, const Query& q, const Action& action) {
   EngineRun r;
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   LinkedRunner runner(link_plan(plan, q));
   runner.run(action, &r.stats);
-  r.deltas = exec_delta(before, support::counters_snapshot());
+  r.deltas = exec_delta(before, support::metrics_snapshot());
   return r;
 }
 
@@ -89,10 +89,10 @@ EngineRun run_linked_mac(const Plan& plan, const Query& q, index_t target,
                          const std::vector<index_t>& factors,
                          value_t scale = 1.0) {
   EngineRun r;
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   LinkedRunner runner(link_plan(plan, q));
   runner.run(link_mac(q, target, factors, scale), &r.stats);
-  r.deltas = exec_delta(before, support::counters_snapshot());
+  r.deltas = exec_delta(before, support::metrics_snapshot());
   return r;
 }
 
@@ -372,17 +372,17 @@ TEST(LinkedExec, RunnerReuseKeepsCountsStable) {
   LinkedMac mac = link_mac(k.query(), 1, {2, 3});
   EngineRun first;
   {
-    auto before = support::counters_snapshot();
+    auto before = support::metrics_snapshot();
     runner.run(mac, &first.stats);
-    first.deltas = exec_delta(before, support::counters_snapshot());
+    first.deltas = exec_delta(before, support::metrics_snapshot());
   }
   Vector y_first = y;
   for (int rep = 0; rep < 3; ++rep) {
     std::fill(y.begin(), y.end(), 0.0);
     EngineRun again;
-    auto before = support::counters_snapshot();
+    auto before = support::metrics_snapshot();
     runner.run(mac, &again.stats);
-    again.deltas = exec_delta(before, support::counters_snapshot());
+    again.deltas = exec_delta(before, support::metrics_snapshot());
     expect_same_work(first, again);
     for (std::size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], y_first[i]);
   }
@@ -393,13 +393,13 @@ TEST(LinkedExec, RunnerReuseKeepsCountsStable) {
 // executor.fanout.* histogram bucket deltas across a run (all-zero
 // histograms elided, mirroring exec_delta).
 std::map<std::string, std::vector<long long>> fanout_delta(
-    const std::map<std::string, std::vector<long long>>& before,
-    const std::map<std::string, std::vector<long long>>& after) {
+    const support::MetricsSnapshot& before,
+    const support::MetricsSnapshot& after) {
   std::map<std::string, std::vector<long long>> d;
-  for (const auto& [name, buckets] : after) {
+  for (const auto& [name, buckets] : after.histograms) {
     if (name.rfind("executor.fanout.", 0) != 0) continue;
     std::vector<long long> delta = buckets;
-    if (auto it = before.find(name); it != before.end())
+    if (auto it = before.histograms.find(name); it != before.histograms.end())
       for (std::size_t i = 0; i < delta.size() && i < it->second.size(); ++i)
         delta[i] -= it->second[i];
     bool any = false;
@@ -457,25 +457,23 @@ TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
   const index_t target = 1;
   const std::vector<index_t> factors{2, 3};
 
-  auto hist_before = support::histograms_snapshot();
+  auto hist_before = support::metrics_snapshot();
   EngineRun ir =
       run_interpreted(k.plan(), k.query(),
                       multiply_accumulate(k.query(), target, factors));
-  auto ir_fanout = fanout_delta(hist_before, support::histograms_snapshot());
+  auto ir_fanout = fanout_delta(hist_before, support::metrics_snapshot());
   Vector y_interp = y;
 
   for (int threads : {1, 2, 4, 8}) {
     std::fill(y.begin(), y.end(), 0.0);
-    auto hb = support::histograms_snapshot();
-    auto before = support::counters_snapshot();
+    const support::MetricsSnapshot before = support::metrics_snapshot();
     ParallelRunner runner(link_plan(k.plan(), k.query()), threads);
     EngineRun pr;
     runner.run(link_mac(k.query(), target, factors), &pr.stats);
-    pr.deltas = exec_delta(before, support::counters_snapshot());
+    const support::MetricsSnapshot after = support::metrics_snapshot();
+    pr.deltas = exec_delta(before, after);
     expect_same_work(ir, pr);
-    EXPECT_EQ(ir_fanout,
-              fanout_delta(hb, support::histograms_snapshot()))
-        << "threads=" << threads;
+    EXPECT_EQ(ir_fanout, fanout_delta(before, after)) << "threads=" << threads;
     for (std::size_t i = 0; i < y.size(); ++i)
       EXPECT_EQ(y[i], y_interp[i]) << "threads=" << threads << " row " << i;
   }
@@ -483,11 +481,11 @@ TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
   // The Action-sink path fans out too (distinct outer bindings only, so a
   // concurrently-invoked accumulate into disjoint rows is safe).
   std::fill(y.begin(), y.end(), 0.0);
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   ParallelRunner runner(link_plan(k.plan(), k.query()), 4);
   EngineRun pa;
   runner.run(multiply_accumulate(k.query(), target, factors), &pa.stats);
-  pa.deltas = exec_delta(before, support::counters_snapshot());
+  pa.deltas = exec_delta(before, support::metrics_snapshot());
   expect_same_work(ir, pa);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], y_interp[i]);
 }
@@ -555,21 +553,21 @@ TEST_P(BulkDrainSweep, BulkPathIndistinguishableFromPerTuple) {
 
   // Reference: per-tuple callbacks, bulk drains disabled.
   set_bulk_drain(false);
-  auto hb_slow = support::histograms_snapshot();
+  auto hb_slow = support::metrics_snapshot();
   EngineRun slow = run_linked_mac(k.plan(), k.query(), target, factors);
   auto slow_fanout =
-      fanout_delta(hb_slow, support::histograms_snapshot());
+      fanout_delta(hb_slow, support::metrics_snapshot());
   Vector y_slow = y;
 
   // Bulk drains back on (the process default) before any assertion can
   // bail out of the test body.
   set_bulk_drain(true);
   std::fill(y.begin(), y.end(), 0.0);
-  auto hb_fast = support::histograms_snapshot();
+  auto hb_fast = support::metrics_snapshot();
   EngineRun fast = run_linked_mac(k.plan(), k.query(), target, factors);
   expect_same_work(slow, fast);
   EXPECT_EQ(slow_fanout,
-            fanout_delta(hb_fast, support::histograms_snapshot()));
+            fanout_delta(hb_fast, support::metrics_snapshot()));
   for (std::size_t i = 0; i < y.size(); ++i)
     EXPECT_EQ(y[i], y_slow[i]) << "row " << i;  // bitwise
 }
@@ -634,24 +632,24 @@ TEST_P(ProfilingSweep, ProfiledRunIndistinguishableFromUnprofiled) {
   const std::vector<index_t> factors{2, 3};
 
   // Reference: profiling off (the process default).
-  auto hb_plain = support::histograms_snapshot();
+  auto hb_plain = support::metrics_snapshot();
   EngineRun plain = run_linked_mac(k.plan(), k.query(), target, factors);
   auto plain_fanout =
-      fanout_delta(hb_plain, support::histograms_snapshot());
+      fanout_delta(hb_plain, support::metrics_snapshot());
   Vector y_plain = y;
 
   // Profiling on — restored before any assertion can bail out of the
   // test body.
   support::set_profiling(true);
   std::fill(y.begin(), y.end(), 0.0);
-  auto hb_prof = support::histograms_snapshot();
+  auto hb_prof = support::metrics_snapshot();
   EngineRun prof = run_linked_mac(k.plan(), k.query(), target, factors);
+  const auto prof_fanout = fanout_delta(hb_prof, support::metrics_snapshot());
   support::set_profiling(false);
-  support::profile_reset();
+  support::metrics_reset();
 
   expect_same_work(plain, prof);
-  EXPECT_EQ(plain_fanout,
-            fanout_delta(hb_prof, support::histograms_snapshot()));
+  EXPECT_EQ(plain_fanout, prof_fanout);
   for (std::size_t i = 0; i < y.size(); ++i)
     EXPECT_EQ(y[i], y_plain[i]) << "row " << i;  // bitwise
 }
@@ -703,10 +701,10 @@ RungRef drive_all_rungs(Bindings& b, index_t rows, index_t cols, Vector& y,
   // Serial linked rung (bulk drains on) — the rung whose observables we
   // hand back, and the in-test reference when none was supplied.
   std::fill(y.begin(), y.end(), 0.0);
-  auto hb = support::histograms_snapshot();
+  auto hb = support::metrics_snapshot();
   RungRef ref;
   ref.linked = run_linked_mac(k.plan(), k.query(), target, factors);
-  ref.fanout = fanout_delta(hb, support::histograms_snapshot());
+  ref.fanout = fanout_delta(hb, support::metrics_snapshot());
   ref.y = y;
   const Vector& want = y_ref ? *y_ref : ref.y;
   for (std::size_t i = 0; i < y.size(); ++i)
@@ -724,14 +722,14 @@ RungRef drive_all_rungs(Bindings& b, index_t rows, index_t cols, Vector& y,
   // Threaded rung (exercises the block-aligned chunk grid for BCSR).
   for (int threads : {2, 4}) {
     std::fill(y.begin(), y.end(), 0.0);
-    auto hb_t = support::histograms_snapshot();
-    auto cb_t = support::counters_snapshot();
+    const support::MetricsSnapshot t0 = support::metrics_snapshot();
     ParallelRunner runner(link_plan(k.plan(), k.query()), threads);
     EngineRun pr;
     runner.run(link_mac(k.query(), target, factors), &pr.stats);
-    pr.deltas = exec_delta(cb_t, support::counters_snapshot());
+    const support::MetricsSnapshot t1 = support::metrics_snapshot();
+    pr.deltas = exec_delta(t0, t1);
     expect_same_work(ref.linked, pr);
-    EXPECT_EQ(ref.fanout, fanout_delta(hb_t, support::histograms_snapshot()))
+    EXPECT_EQ(ref.fanout, fanout_delta(t0, t1))
         << label << " threads=" << threads;
     for (std::size_t i = 0; i < y.size(); ++i)
       EXPECT_EQ(y[i], want[i])
@@ -746,14 +744,13 @@ RungRef drive_all_rungs(Bindings& b, index_t rows, index_t cols, Vector& y,
   SpecializedKernel spec(lp, mac);
   if (spec.ok()) {
     std::fill(y.begin(), y.end(), 0.0);
-    auto hb_s = support::histograms_snapshot();
-    auto cb_s = support::counters_snapshot();
+    const support::MetricsSnapshot s0 = support::metrics_snapshot();
     EngineRun sr;
     spec.run(&sr.stats);
-    sr.deltas = exec_delta(cb_s, support::counters_snapshot());
+    const support::MetricsSnapshot s1 = support::metrics_snapshot();
+    sr.deltas = exec_delta(s0, s1);
     expect_same_work(ref.linked, sr);
-    EXPECT_EQ(ref.fanout, fanout_delta(hb_s, support::histograms_snapshot()))
-        << label << " specialized";
+    EXPECT_EQ(ref.fanout, fanout_delta(s0, s1)) << label << " specialized";
     for (std::size_t i = 0; i < y.size(); ++i)
       EXPECT_EQ(y[i], want[i]) << label << " specialized row " << i;
   }
@@ -917,12 +914,12 @@ TEST(ParallelExec, OuterMergeJoinFallsBackToSerial) {
       run_interpreted(plan, q, multiply_accumulate(q, 3, {1, 2}));
   Vector y_interp = y;
   std::fill(y.begin(), y.end(), 0.0);
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   ParallelRunner runner(link_plan(plan, q), 8);
   EXPECT_FALSE(runner.parallel());
   EngineRun pr;
   runner.run(multiply_accumulate(q, 3, {1, 2}), &pr.stats);
-  pr.deltas = exec_delta(before, support::counters_snapshot());
+  pr.deltas = exec_delta(before, support::metrics_snapshot());
   expect_same_work(ir, pr);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], y_interp[i]);
 }
@@ -992,10 +989,10 @@ TEST(RunBooking, ThrowingActionBooksNothingOnEveryEngine) {
   auto expect_nothing_booked = [&](const char* engine,
                                    const std::function<void()>& run) {
     calls = 0;
-    const auto before = support::counters_snapshot();
+    const auto before = support::metrics_snapshot();
     const long long samples0 = latency.snapshot().count;
     EXPECT_THROW(run(), std::runtime_error) << engine;
-    const auto d = exec_delta(before, support::counters_snapshot());
+    const auto d = exec_delta(before, support::metrics_snapshot());
     const auto runs = d.find("executor.runs");
     EXPECT_EQ(runs == d.end() ? 0 : runs->second,
               latency.snapshot().count - samples0)
@@ -1012,20 +1009,17 @@ TEST(RunBooking, ThrowingActionBooksNothingOnEveryEngine) {
   expect_nothing_booked("threaded", [&] { threaded.run(boom); });
 
   const Action noop = [](const Env&) {};
-  auto hist = support::histograms_snapshot();
+  auto hist = support::metrics_snapshot();
   const EngineRun ref = run_interpreted(plan, q, noop);
-  const auto ref_fanout = fanout_delta(hist, support::histograms_snapshot());
+  const auto ref_fanout = fanout_delta(hist, support::metrics_snapshot());
   EXPECT_EQ(ref.deltas.at("executor.runs"), 1);
   auto expect_clean_run = [&](const char* engine,
                               const std::function<void()>& run) {
-    const auto before = support::counters_snapshot();
-    const auto hist_before = support::histograms_snapshot();
+    const support::MetricsSnapshot before = support::metrics_snapshot();
     run();
-    EXPECT_EQ(exec_delta(before, support::counters_snapshot()), ref.deltas)
-        << engine;
-    EXPECT_EQ(fanout_delta(hist_before, support::histograms_snapshot()),
-              ref_fanout)
-        << engine;
+    const support::MetricsSnapshot after = support::metrics_snapshot();
+    EXPECT_EQ(exec_delta(before, after), ref.deltas) << engine;
+    EXPECT_EQ(fanout_delta(before, after), ref_fanout) << engine;
   };
   expect_clean_run("linked", [&] { linked.run(noop); });
   expect_clean_run("threaded", [&] { threaded.run(noop); });
@@ -1051,16 +1045,16 @@ TEST(CompiledKernelCache, CopyAndMoveKeepLinkedProgram) {
 
   // Reference run (also builds the cache the copies must re-establish).
   std::fill(y.begin(), y.end(), 0.0);
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   k.run();
-  auto ref_delta = exec_delta(before, support::counters_snapshot());
+  auto ref_delta = exec_delta(before, support::metrics_snapshot());
   Vector y_ref = y;
 
   auto run_and_compare = [&](const CompiledKernel& kk, const char* label) {
     std::fill(y.begin(), y.end(), 0.0);
-    auto b0 = support::counters_snapshot();
+    auto b0 = support::metrics_snapshot();
     kk.run();
-    EXPECT_EQ(exec_delta(b0, support::counters_snapshot()), ref_delta)
+    EXPECT_EQ(exec_delta(b0, support::metrics_snapshot()), ref_delta)
         << label;
     for (std::size_t i = 0; i < y.size(); ++i)
       EXPECT_EQ(y[i], y_ref[i]) << label << " row " << i;

@@ -128,11 +128,11 @@ TEST_P(FootprintFmt, SpmvFootprintIsExactAndMatchesMeasuredWork) {
   LinkedRunner runner(std::move(lp));
   LinkedMac mac = link_mac(s->kernel.query(), s->target, s->factors);
   RunStats stats;
-  auto c0 = support::counters_snapshot();
+  auto c0 = support::metrics_snapshot();
   runner.run(mac, &stats);
-  auto c1 = support::counters_snapshot();
+  auto c1 = support::metrics_snapshot();
   EXPECT_EQ(stats.tuples, fp.leaf_tuples);
-  auto count = [](const support::CountersSnapshot& snap, const char* k) {
+  auto count = [](const support::MetricsSnapshot& snap, const char* k) {
     auto it = snap.counts.find(k);
     return it == snap.counts.end() ? 0LL : it->second;
   };

@@ -7,6 +7,7 @@
 
 #include "support/histogram.hpp"
 #include "support/json_reader.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::support {
 namespace {
@@ -89,24 +90,25 @@ TEST(HistogramRegistry, SameNameSameHistogram) {
 }
 
 TEST(HistogramRegistry, SnapshotAndRenderings) {
-  histograms_reset();
+  metrics_reset();
   histogram("test.hist.empty");  // registered, never fed
   histogram("test.hist.render").add(3, 4);
 
-  auto snap = histograms_snapshot();
-  ASSERT_TRUE(snap.count("test.hist.render"));
-  EXPECT_EQ(snap["test.hist.render"][2], 4);  // 3 lands in [2,3]
+  MetricsSnapshot snap = metrics_snapshot();
+  ASSERT_TRUE(snap.histograms.count("test.hist.render"));
+  EXPECT_EQ(snap.histograms["test.hist.render"][2], 4);  // 3 lands in [2,3]
 
-  std::string text = histograms_text();
+  std::string text = histograms_text(snap);
   EXPECT_NE(text.find("test.hist.render"), std::string::npos);
   EXPECT_NE(text.find("2-3"), std::string::npos);
   // Empty histograms are skipped by default...
   EXPECT_EQ(text.find("test.hist.empty"), std::string::npos);
   // ...and shown when asked for.
-  EXPECT_NE(histograms_text(/*include_empty=*/true).find("test.hist.empty"),
-            std::string::npos);
+  EXPECT_NE(
+      histograms_text(snap, /*include_empty=*/true).find("test.hist.empty"),
+      std::string::npos);
 
-  JsonValue doc = json_parse(histograms_json());
+  JsonValue doc = json_parse(histograms_json(snap));
   const JsonValue* h = doc.find("test.hist.render");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->find("total")->as_number(), 4);

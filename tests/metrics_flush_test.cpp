@@ -7,9 +7,14 @@
 // both record the same integer nanoseconds at the same flush site.
 // Before the commit lock, the mid-flight assertions below trip (a
 // snapshot lands between the two bookings) and the interleavings race
-// under ThreadSanitizer.
+// under ThreadSanitizer. The group spans several metric kinds (a
+// counter, a latency histogram, log2 fan-out buckets), which is why there
+// is ONE snapshot that reads them all under the lock: snapshots of the
+// kinds taken one after another can disagree by the runs that committed
+// in between.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <thread>
 
@@ -109,6 +114,67 @@ TEST(MetricsFlush, ConcurrentSnapshotsNeverSeeTornFlush) {
   const auto [sum, wall] = latency_vs_wall(s);
   EXPECT_EQ(sum, wall);
   EXPECT_EQ(s.latencies.at("execute.latency").count, kRuns);
+  EXPECT_GT(checks, 0) << "snapshot thread never overlapped the runs";
+}
+
+// One snapshot holds whole runs across EVERY kind a run books: the
+// executor.runs counter, the execute.latency sample count and the
+// executor.fanout.level0 histogram (level 0 is invoked exactly once per
+// run, so its bucket total is the run count) must agree in every
+// snapshot taken while another thread keeps running.
+TEST(MetricsFlush, OneSnapshotHoldsWholeRuns) {
+  support::metrics_reset();
+  formats::Csr A = random_csr(48, 48, 400, 104);
+  Vector x(48, 1.5), y(48, 0.0);
+  compiler::Bindings b;
+  const compiler::CompiledKernel k =
+      compile_spmv(b, A, ConstVectorView(x), VectorView(y));
+  constexpr int kRuns = 400;
+
+  auto runs_in = [](const support::MetricsSnapshot& s) {
+    long long counted = 0;
+    if (auto it = s.counts.find("executor.runs"); it != s.counts.end())
+      counted = it->second;
+    long long sampled = 0;
+    if (auto it = s.latencies.find("execute.latency"); it != s.latencies.end())
+      sampled = it->second.count;
+    long long fanned = 0;
+    if (auto it = s.histograms.find("executor.fanout.level0");
+        it != s.histograms.end())
+      for (long long c : it->second) fanned += c;
+    return std::array<long long, 3>{counted, sampled, fanned};
+  };
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (int i = 0; i < kRuns; ++i) k.run();
+    done.store(true, std::memory_order_release);
+  });
+
+  // A torn snapshot ends the loop, and the runner is joined before any
+  // assertion can return from the test body.
+  long long checks = 0;
+  std::array<long long, 3> torn{};
+  started.store(true, std::memory_order_release);
+  while (!done.load(std::memory_order_acquire)) {
+    const auto runs = runs_in(support::metrics_snapshot());
+    if (runs[1] != runs[0] || runs[2] != runs[0]) {
+      torn = runs;
+      break;
+    }
+    ++checks;
+  }
+  runner.join();
+  EXPECT_EQ(torn, (std::array<long long, 3>{}))
+      << "runs / latency samples / level-0 fan-out disagree after " << checks
+      << " whole snapshots";
+
+  const auto [counted, sampled, fanned] = runs_in(support::metrics_snapshot());
+  EXPECT_EQ(counted, kRuns);
+  EXPECT_EQ(sampled, kRuns);
+  EXPECT_EQ(fanned, kRuns);
   EXPECT_GT(checks, 0) << "snapshot thread never overlapped the runs";
 }
 

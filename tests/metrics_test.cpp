@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/error.hpp"
 #include "support/metrics.hpp"
 
 namespace bernoulli::support {
@@ -176,11 +177,42 @@ TEST(MetricsRegistry, IdentityAndSnapshotAndReset) {
   EXPECT_EQ(snap.latencies.at("test.metrics.lat").count, 0);
 }
 
+// One registry, one kind per name: every kind is read by the one snapshot,
+// and asking for a registered name as a different kind is a checked error
+// rather than a second, shadowing metric.
+TEST(MetricsRegistry, OneRegistryHoldsEveryKind) {
+  metrics_reset();
+  counter("test.kinds.count").add(3);
+  time_counter("test.kinds.time").add(0.5);
+  histogram("test.kinds.hist").add(5);
+  metric_rate("test.kinds.rate").add(2);
+  metric_gauge("test.kinds.gauge").set(1.25);
+  metric_latency("test.kinds.lat").record_ns(7);
+
+  const MetricsSnapshot snap = metrics_snapshot();
+  EXPECT_EQ(snap.counts.at("test.kinds.count"), 3);
+  EXPECT_DOUBLE_EQ(snap.seconds.at("test.kinds.time"), 0.5);
+  EXPECT_EQ(snap.histograms.at("test.kinds.hist")[3], 1);  // 5 in [4,7]
+  EXPECT_EQ(snap.rates.at("test.kinds.rate"), 2);
+  EXPECT_EQ(snap.gauges.at("test.kinds.gauge"), 1.25);
+  EXPECT_EQ(snap.latencies.at("test.kinds.lat").sum_ns, 7);
+  // Each name appears under its own kind only.
+  EXPECT_EQ(snap.rates.count("test.kinds.count"), 0u);
+  EXPECT_EQ(snap.counts.count("test.kinds.rate"), 0u);
+
+  EXPECT_THROW(metric_rate("test.kinds.count"), Error);
+  EXPECT_THROW(counter("test.kinds.lat"), Error);
+  EXPECT_THROW(histogram("test.kinds.time"), Error);
+  // The failed lookups registered nothing and left the entries intact.
+  EXPECT_EQ(counter("test.kinds.count").value(), 3);
+  EXPECT_EQ(metrics_snapshot().counts.count("test.kinds.lat"), 0u);
+}
+
 TEST(MetricsExport, JsonCarriesSchemaAndHistogram) {
   metrics_reset();
   metric_rate("test.export.rate").add(5);
   metric_latency("test.export.lat").record_ns(42);
-  const std::string doc = metrics_json();
+  const std::string doc = metrics_json(metrics_snapshot());
   EXPECT_NE(doc.find("\"schema\":\"bernoulli.metrics.v1\""), std::string::npos);
   EXPECT_NE(doc.find("\"test.export.rate\":5"), std::string::npos);
   EXPECT_NE(doc.find("\"test.export.lat\""), std::string::npos);
@@ -194,7 +226,7 @@ TEST(MetricsExport, PrometheusTextShape) {
   metric_rate("test.prom.rate").add(5);
   metric_gauge("test.prom.gauge").set(1.5);
   metric_latency("test.prom.lat").record_ns(1000);
-  const std::string text = metrics_prometheus_text();
+  const std::string text = metrics_prometheus_text(metrics_snapshot());
   EXPECT_NE(text.find("# TYPE bernoulli_test_prom_rate_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("bernoulli_test_prom_rate_total 5"), std::string::npos);

@@ -27,6 +27,7 @@
 #include "compiler/link.hpp"
 #include "compiler/loopnest.hpp"
 #include "formats/formats.hpp"
+#include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/rng.hpp"
 
@@ -62,12 +63,12 @@ std::unique_ptr<Spmv> make_spmv(index_t n, index_t nnz, std::uint64_t seed) {
 // both sides, so these tests neither see nor leave foreign state.
 struct ProfilingGuard {
   ProfilingGuard() {
-    support::profile_reset();
+    support::metrics_reset();
     support::set_profiling(true);
   }
   ~ProfilingGuard() {
     support::set_profiling(false);
-    support::profile_reset();
+    support::metrics_reset();
   }
 };
 
@@ -116,7 +117,7 @@ TEST(ProfileOverhead, ProfiledLinkedRunStaysUnderTwoPercent) {
     if (i + 1 >= kMinPairs && profiled - plain < plain / 50) break;
   }
   support::set_profiling(false);
-  support::profile_reset();
+  support::metrics_reset();
 
   // 2% of the unprofiled best, floored at 2us so a very fast host cannot
   // push the budget below one scheduler-jitter quantum.
@@ -137,7 +138,7 @@ TEST(Profile, RawSelfPlusChildrenEqualsInclusive) {
   LinkedMac mac = link_mac(s->kernel.query(), 1, {2, 3});
   for (int i = 0; i < 4; ++i) runner.run(mac);
 
-  const support::ProfileSnapshot snap = support::profile_snapshot();
+  const support::ProfileSnapshot snap = support::metrics_snapshot().profile;
   ASSERT_GT(snap.runs, 0);
   ASSERT_EQ(snap.levels, 2);  // the i,j matvec plan
   for (int d = 0; d < snap.levels; ++d) {
@@ -166,16 +167,16 @@ TEST(Profile, SerialAndThreadedWorkCountsIdentical) {
 
   LinkedRunner serial(link_plan(s->kernel.plan(), s->kernel.query()));
   serial.run(mac);
-  const support::ProfileSnapshot ss = support::profile_snapshot();
+  const support::ProfileSnapshot ss = support::metrics_snapshot().profile;
   const std::vector<long long> serial_work = work_counts(ss);
   ASSERT_GT(ss.level_work(0), 0);
 
   for (int threads : {2, 8}) {
-    support::profile_reset();
+    support::metrics_reset();
     ParallelRunner runner(link_plan(s->kernel.plan(), s->kernel.query()),
                           threads);
     runner.run(mac);
-    const support::ProfileSnapshot ts = support::profile_snapshot();
+    const support::ProfileSnapshot ts = support::metrics_snapshot().profile;
     EXPECT_EQ(serial_work, work_counts(ts)) << "threads=" << threads;
     EXPECT_EQ(ss.levels, ts.levels) << "threads=" << threads;
   }
@@ -190,7 +191,7 @@ TEST(Profile, LevelSelfTimesReconcileWithWall) {
   LinkedMac mac = link_mac(s->kernel.query(), 1, {2, 3});
   for (int i = 0; i < 8; ++i) runner.run(mac);
 
-  const support::ProfileSnapshot snap = support::profile_snapshot();
+  const support::ProfileSnapshot snap = support::metrics_snapshot().profile;
   ASSERT_GT(snap.wall_ns, 0);
   const long long total = snap.total_self_ns();
   EXPECT_GT(total, 0);
@@ -214,7 +215,8 @@ TEST(Profile, CollapsedStackRoundTrips) {
   for (int i = 0; i < 3; ++i) runner.run(mac);
   support::profile_phase_add(support::kProfPhaseExchange, 1'234);
 
-  const std::string text = support::profile_collapsed();
+  const support::MetricsSnapshot all = support::metrics_snapshot();
+  const std::string text = support::profile_collapsed(all);
   ASSERT_FALSE(text.empty());
   std::vector<std::pair<std::string, long long>> frames;
   ASSERT_TRUE(support::profile_parse_collapsed(text, &frames));
@@ -230,7 +232,7 @@ TEST(Profile, CollapsedStackRoundTrips) {
   }
   EXPECT_TRUE(saw_phase);
 
-  const support::ProfileSnapshot snap = support::profile_snapshot();
+  const support::ProfileSnapshot& snap = all.profile;
   long long want = snap.total_self_ns();
   for (int p = 0; p < support::kProfPhases; ++p) want += snap.phase_ns[p];
   EXPECT_EQ(sum, want);

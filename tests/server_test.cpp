@@ -57,7 +57,7 @@ Vector reference_spmv(const formats::Csr& A, const Vector& x) {
   return y;
 }
 
-long long counter_of(const support::CountersSnapshot& s,
+long long counter_of(const support::MetricsSnapshot& s,
                      const std::string& name) {
   auto it = s.counts.find(name);
   return it == s.counts.end() ? 0 : it->second;
@@ -165,7 +165,7 @@ TEST(KernelServer, ConcurrentClientsMatchSerialBitwiseAndReconcile) {
 
   server::KernelServer srv;
   const int h = srv.add_csr("A", A);
-  const support::CountersSnapshot before = support::counters_snapshot();
+  const support::MetricsSnapshot before = support::metrics_snapshot();
 
   std::vector<Vector> ys(xs.size(), Vector(120, 0.0));
   std::vector<std::thread> clients;
@@ -184,7 +184,7 @@ TEST(KernelServer, ConcurrentClientsMatchSerialBitwiseAndReconcile) {
   // Counter reconciliation: each request books one engine-run group
   // (batched sweeps replay the cached delta per request), plus one
   // warmup run per cache miss.
-  const support::CountersSnapshot after = support::counters_snapshot();
+  const support::MetricsSnapshot after = support::metrics_snapshot();
   const server::ServerStats s = srv.stats();
   EXPECT_EQ(s.requests, kClients * kQueries);
   EXPECT_EQ(counter_of(after, "executor.runs") -
@@ -193,10 +193,9 @@ TEST(KernelServer, ConcurrentClientsMatchSerialBitwiseAndReconcile) {
 
   // The single-booking invariant holds through concurrent serving and
   // batched replay: every latency nanosecond is also a wall nanosecond.
-  const support::MetricsSnapshot m = support::metrics_snapshot();
-  ASSERT_TRUE(m.latencies.count("execute.latency"));
-  EXPECT_EQ(m.latencies.at("execute.latency").sum_ns,
-            m.rates.at("execute.wall_ns"));
+  ASSERT_TRUE(after.latencies.count("execute.latency"));
+  EXPECT_EQ(after.latencies.at("execute.latency").sum_ns,
+            after.rates.at("execute.wall_ns"));
 }
 
 // The batched sweep must reproduce per-request results bitwise. Drive

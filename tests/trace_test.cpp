@@ -16,9 +16,8 @@
 #include "formats/csr.hpp"
 #include "runtime/machine.hpp"
 #include "spmd/matvec.hpp"
-#include "support/counters.hpp"
-#include "support/histogram.hpp"
 #include "support/json_reader.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 #include "support/trace_cli.hpp"
 #include "workloads/grid.hpp"
@@ -96,8 +95,7 @@ TEST(Trace, FourRankMatvecFlowsAndReconciliation) {
   const int P = 4;
   distrib::BlockDist rows(a.rows(), P);
 
-  counters_reset();
-  histograms_reset();
+  metrics_reset();
   trace_start();
   runtime::Machine machine(P);
   auto reports = machine.run([&](runtime::Process& p) {
@@ -169,7 +167,7 @@ TEST(Trace, FourRankMatvecFlowsAndReconciliation) {
   EXPECT_EQ(span_send_count, stats_messages);
 
   long long counter_bytes = 0, counter_messages = 0;
-  auto snap = counters_snapshot();
+  const MetricsSnapshot snap = metrics_snapshot();
   for (const auto& [name, v] : snap.counts) {
     if (name.rfind("comm.", 0) != 0) continue;
     if (name.size() >= 6 && name.compare(name.size() - 6, 6, ".bytes") == 0)
@@ -188,9 +186,8 @@ TEST(Trace, FourRankMatvecFlowsAndReconciliation) {
             static_cast<double>(stats_bytes));
 
   // The message-size histogram saw every message exactly once.
-  auto hists = histograms_snapshot();
   long long hist_total = 0;
-  for (long long c : hists.at("comm.message_bytes")) hist_total += c;
+  for (long long c : snap.histograms.at("comm.message_bytes")) hist_total += c;
   EXPECT_EQ(hist_total, stats_messages);
 
   std::string text = comm_matrix_text();
@@ -220,7 +217,7 @@ TEST(Trace, CommMatrixWithoutTracing) {
 // reconciliation epilogue must accept the all-zeros totals instead of
 // aborting on an empty comm matrix / empty histogram set.
 TEST(Trace, ZeroSpanZeroMessageRunExportsAndReconciles) {
-  histograms_reset();
+  metrics_reset();
   const std::string path =
       ::testing::TempDir() + "/zero_span_trace_test.json";
   ObsOptions o;
