@@ -491,10 +491,9 @@ LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
      << "}\n\n"
      << "static int bucket_of(long long v) {\n"
      << "  if (v <= 0) return 0;\n"
-     << "  int k = 1;\n"
-     << "  while (k < " << (support::Log2Histogram::kBuckets - 1)
-     << " && v >= (1LL << k)) ++k;\n"
-     << "  return k;\n"
+     << "  const int k = 64 - __builtin_clzll((unsigned long long)v);\n"
+     << "  return k < " << (support::Log2Histogram::kBuckets - 1) << " ? k : "
+     << (support::Log2Histogram::kBuckets - 1) << ";\n"
      << "}\n\n";
   if (need_binsearch) {
     os << "static int binsearch(const int* ind, int lo, int hi, int key) {\n"

@@ -16,7 +16,9 @@
 // level d) — the two distributions the paper's overhead analysis turns on.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <string>
 
 namespace bernoulli::support {
@@ -50,9 +52,9 @@ class Log2Histogram {
   /// Bucket index of a value (negative values clamp to bucket 0).
   static int bucket_of(long long value) {
     if (value <= 0) return 0;
-    int k = 1;
-    while (k < kBuckets - 1 && value >= (1LL << k)) ++k;
-    return k;
+    const int k =
+        static_cast<int>(std::bit_width(static_cast<unsigned long long>(value)));
+    return std::min(k, kBuckets - 1);
   }
 
   /// Human-readable bucket range: "0", "1", "2-3", "4-7", ...

@@ -664,6 +664,165 @@ INSTANTIATE_TEST_SUITE_P(AllStorages, ProfilingSweep,
                            return os.str();
                          });
 
+// ---- Fused two-level drain vs the per-row path ----------------------
+
+// Dense rows over a compressed, blocked or sliced leaf run as one loop
+// nest (try_fused). Against the per-row path (set_bulk_drain(false)) it
+// must be bitwise-identical in outputs and indistinguishable in executor.*
+// deltas, fan-out histograms and RunStats, serially and on 1-4 threads.
+// The profile tells the two paths apart, so a silent fallback fails the
+// test: the per-row path brackets level 0 on a fresh runner's first outer
+// binding, while the fused drain books no level-0 sample and one level-1
+// interval per invocation under its leaf's drain kind.
+enum class Leaf { kCsr, kBcsr, kSell };
+
+struct FusedCase {
+  std::string name;
+  Leaf leaf;
+  index_t rows;  // loop extent of i; BCSR stores it rounded up to 4
+  index_t cols;
+  index_t nnz;
+  value_t scale;
+  bool alias;  // Y aliases X: the register-cached target must decline
+  std::uint64_t seed;
+};
+
+struct FusedRun {
+  Vector out;
+  EngineRun run;
+  std::map<std::string, std::vector<long long>> fanout;
+  long long level0_samples = 0;
+  long long fused_samples = 0;
+};
+
+class FusedDrain : public ::testing::TestWithParam<FusedCase> {};
+
+TEST_P(FusedDrain, MatchesPerRowPathOnEveryThreadCount) {
+  const FusedCase& fc = GetParam();
+  const index_t srows =
+      fc.leaf == Leaf::kBcsr ? (fc.rows + 3) / 4 * 4 : fc.rows;
+  const index_t scols =
+      fc.leaf == Leaf::kBcsr ? (fc.cols + 3) / 4 * 4 : fc.cols;
+  Coo coo = random_matrix(srows, scols, fc.nnz, fc.seed);
+  formats::Csr csr;
+  formats::Bsr bsr;
+  formats::Sell sell;
+
+  SplitMix64 rng(fc.seed);
+  Vector x0(static_cast<std::size_t>(scols));
+  for (auto& v : x0) v = rng.next_double(-1, 1);
+  Vector x = x0;
+  Vector y(static_cast<std::size_t>(fc.rows), 0.0);
+  Vector& out = fc.alias ? x : y;
+
+  Bindings b;
+  int kind = support::kProfBulk;
+  switch (fc.leaf) {
+    case Leaf::kCsr:
+      csr = formats::Csr::from_coo(coo);
+      b.bind_csr("A", csr);
+      break;
+    case Leaf::kBcsr:
+      bsr = formats::Bsr::from_coo(coo, 4);
+      b.bind_bsr("A", bsr);
+      kind = support::kProfBlocked;
+      break;
+    case Leaf::kSell:
+      sell = formats::Sell::from_coo(coo, 4, 8);
+      b.bind_sell("A", sell);
+      kind = support::kProfSliced;
+      break;
+  }
+  b.bind_dense_vector("X", ConstVectorView(x));
+  b.bind_dense_vector("Y", VectorView(out));
+  LoopNest nest{{{"i", fc.rows}, {"j", scols}},
+                {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, fc.scale}};
+  CompiledKernel k = compile(nest, b);
+  const LinkedMac mac = link_mac(k.query(), 1, {2, 3}, fc.scale);
+
+  // threads == 0: a serial LinkedRunner; otherwise a ParallelRunner.
+  auto run_once = [&](bool bulk, int threads) {
+    x = x0;
+    std::fill(y.begin(), y.end(), 0.0);
+    set_bulk_drain(bulk);
+    support::metrics_reset();
+    support::set_profiling(true);
+    FusedRun fr;
+    const support::MetricsSnapshot before = support::metrics_snapshot();
+    if (threads == 0) {
+      LinkedRunner(link_plan(k.plan(), k.query())).run(mac, &fr.run.stats);
+    } else {
+      ParallelRunner(link_plan(k.plan(), k.query()), threads)
+          .run(mac, &fr.run.stats);
+    }
+    const support::MetricsSnapshot after = support::metrics_snapshot();
+    support::set_profiling(false);
+    set_bulk_drain(true);
+    fr.out = out;
+    fr.run.deltas = exec_delta(before, after);
+    fr.fanout = fanout_delta(before, after);
+    for (int kd = 0; kd < support::kProfKinds; ++kd)
+      fr.level0_samples += after.profile.samples[0][kd];
+    fr.fused_samples = after.profile.samples[1][kind];
+    return fr;
+  };
+
+  const FusedRun ref = run_once(/*bulk=*/false, 0);
+  EXPECT_GT(ref.level0_samples, 0) << "the per-row path went undetected";
+  std::vector<int> thread_counts{0};
+  if (!fc.alias) thread_counts.insert(thread_counts.end(), {1, 2, 3, 4});
+  for (bool bulk : {false, true}) {
+    for (int threads : thread_counts) {
+      const FusedRun fr = run_once(bulk, threads);
+      SCOPED_TRACE("bulk=" + std::to_string(bulk) +
+                   " threads=" + std::to_string(threads));
+      expect_same_work(ref.run, fr.run);
+      EXPECT_EQ(ref.fanout, fr.fanout);
+      for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(fr.out[i], ref.out[i]) << "row " << i;  // bitwise
+      if (bulk && !fc.alias) {
+        EXPECT_EQ(fr.level0_samples, 0) << "fused drain did not engage";
+        EXPECT_GE(fr.fused_samples, 1) << "fused drain did not engage";
+      } else {
+        EXPECT_GT(fr.level0_samples, 0) << "expected the per-row path";
+      }
+    }
+  }
+  support::metrics_reset();
+}
+
+std::vector<FusedCase> make_fused_cases() {
+  std::vector<FusedCase> cases;
+  std::uint64_t seed = 1600;
+  for (Leaf leaf : {Leaf::kCsr, Leaf::kBcsr, Leaf::kSell}) {
+    const std::string f = leaf == Leaf::kCsr    ? "csr"
+                          : leaf == Leaf::kBcsr ? "bcsr"
+                                                : "sell";
+    // Sparse enough that the planner drives level 1 from A's leaf (a
+    // nearly full BCSR block row would lose to the dense iteration space).
+    cases.push_back({f + "_empty_rows", leaf, 40, 40, 25, 1.0, false, seed++});
+    cases.push_back({f + "_single_row", leaf, 1, 12, 6, 1.0, false, seed++});
+    cases.push_back({f + "_wide", leaf, 16, 40, 30, 1.0, false, seed++});
+    cases.push_back({f + "_tall", leaf, 40, 16, 30, 1.0, false, seed++});
+    cases.push_back({f + "_scaled", leaf, 32, 32, 60, -2.5, false, seed++});
+    cases.push_back({f + "_y_aliases_x", leaf, 32, 32, 60, 1.0, true,
+                     seed++});
+  }
+  // BCSR whose loop extent ends inside a block row; SELL whose tail
+  // window holds fewer than sigma = 8 rows (and a partial C = 4 chunk).
+  cases.push_back({"bcsr_partial_block_row", Leaf::kBcsr, 30, 32, 40, 1.0,
+                   false, seed++});
+  cases.push_back({"sell_short_tail_window", Leaf::kSell, 21, 24, 60, 1.0,
+                   false, seed++});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Leaves, FusedDrain,
+                         ::testing::ValuesIn(make_fused_cases()),
+                         [](const ::testing::TestParamInfo<FusedCase>& info) {
+                           return info.param.name;
+                         });
+
 // ---- BCSR and SELL-C-sigma vs the CRS reference, every rung ---------
 
 // The acceptance contract for the blocked/sliced level kinds: the same

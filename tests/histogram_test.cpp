@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "support/histogram.hpp"
 #include "support/json_reader.hpp"
@@ -42,6 +43,28 @@ TEST(Log2Histogram, PowerOfTwoBoundaries) {
   EXPECT_EQ(Log2Histogram::bucket_of((1LL << 38) - 1), 38);
   EXPECT_EQ(Log2Histogram::bucket_of(1LL << 38), 39);
   EXPECT_EQ(Log2Histogram::bucket_of(1LL << 39), 39);  // clamps, no 40
+}
+
+TEST(Log2Histogram, BucketOfMatchesReferenceLoop) {
+  // bucket_of is a clamped bit_width; the reference is the linear scan it
+  // replaced, which defines the geometry by construction.
+  const auto reference = [](long long v) {
+    if (v <= 0) return 0;
+    int k = 1;
+    while (k < Log2Histogram::kBuckets - 1 && v >= (1LL << k)) ++k;
+    return k;
+  };
+  std::vector<long long> values;
+  for (long long v = 0; v <= (1LL << 16); ++v) values.push_back(v);
+  for (int k = 1; k <= 62; ++k)
+    for (long long v : {(1LL << k) - 1, 1LL << k, (1LL << k) + 1})
+      values.push_back(v);
+  for (long long v : {-1LL, -2LL, -1000LL,
+                      std::numeric_limits<long long>::min(),
+                      std::numeric_limits<long long>::max()})
+    values.push_back(v);
+  for (long long v : values)
+    ASSERT_EQ(Log2Histogram::bucket_of(v), reference(v)) << "value " << v;
 }
 
 TEST(Log2Histogram, FlushRepresentativeRoundTrips) {

@@ -17,6 +17,7 @@
 #include <array>
 #include <atomic>
 #include <thread>
+#include <utility>
 
 #include "compiler/loopnest.hpp"
 #include "formats/formats.hpp"
@@ -99,16 +100,23 @@ TEST(MetricsFlush, ConcurrentSnapshotsNeverSeeTornFlush) {
     done.store(true, std::memory_order_release);
   });
 
+  // The first torn snapshot ends the loop, and the runner is joined
+  // before any assertion can return from the test body.
   long long checks = 0;
+  std::pair<long long, long long> torn{0, 0};
   started.store(true, std::memory_order_release);
   while (!done.load(std::memory_order_acquire)) {
     const support::MetricsSnapshot s = support::metrics_snapshot();
     const auto [sum, wall] = latency_vs_wall(s);
-    ASSERT_EQ(sum, wall) << "torn flush observed after " << checks
-                         << " consistent snapshots";
+    if (sum != wall) {
+      torn = {sum, wall};
+      break;
+    }
     ++checks;
   }
   runner.join();
+  ASSERT_EQ(torn.first, torn.second)
+      << "torn flush observed after " << checks << " consistent snapshots";
 
   const support::MetricsSnapshot s = support::metrics_snapshot();
   const auto [sum, wall] = latency_vs_wall(s);
@@ -195,12 +203,17 @@ TEST(MetricsFlush, ConcurrentResetKeepsGroupsAtomic) {
     for (int i = 0; i < 200; ++i) k.run();
     done.store(true, std::memory_order_release);
   });
+  std::pair<long long, long long> torn{0, 0};
   while (!done.load(std::memory_order_acquire)) {
     support::metrics_reset();
     const auto [sum, wall] = latency_vs_wall(support::metrics_snapshot());
-    ASSERT_EQ(sum, wall);
+    if (sum != wall) {
+      torn = {sum, wall};
+      break;
+    }
   }
   runner.join();
+  ASSERT_EQ(torn.first, torn.second);
   support::metrics_reset();
   const auto [sum, wall] = latency_vs_wall(support::metrics_snapshot());
   EXPECT_EQ(sum, wall);
