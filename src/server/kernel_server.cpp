@@ -59,6 +59,7 @@ compiler::LoopNest spmv_nest(index_t rows, index_t cols) {
 struct KernelServer::Pending {
   ConstVectorView x;
   VectorView y;
+  bool taken = false;  // in a leader's batch
   bool done = false;
   std::exception_ptr error;
 };
@@ -296,55 +297,55 @@ void KernelServer::serve_batched(const std::shared_ptr<CacheEntry>& e,
   p.y = y;
   std::unique_lock<std::mutex> lk(e->batch_mu);
   e->queue.push_back(&p);
-  if (e->leader_active) {
-    // Follower: the current leader drains the queue (including us) in
-    // sweeps. It cannot release leadership while our request is queued —
-    // both the exit check and our enqueue run under batch_mu — but the
-    // predicate tolerates it by promoting us to leader below.
-    e->batch_cv.wait(lk, [&] { return p.done || !e->leader_active; });
-    if (p.done) {
-      if (p.error) std::rethrow_exception(p.error);
-      return;
-    }
+  // Follower while another thread leads: that leader either takes us into
+  // its batch (we then wait for done) or hands leadership on with us still
+  // queued (we then lead).
+  e->batch_cv.wait(lk, [&] {
+    return p.done || (!p.taken && !e->leader_active);
+  });
+  if (p.done) {
+    if (p.error) std::rethrow_exception(p.error);
+    return;
   }
-  // Leader: drain the queue in sweeps of at most max_batch until empty,
-  // then hand leadership back. Requests that arrive mid-sweep coalesce
-  // into the next one.
+  // Leader: take our own request plus what is queued, at most max_batch,
+  // and hand leadership on BEFORE sweeping, so requests that arrive
+  // mid-sweep form the next batch on their own thread instead of waiting
+  // for this one.
   e->leader_active = true;
   if (opts_.max_batch > 1) {
-    // Batching window: one yield before the first sweep lets requests
-    // racing with ours enqueue and coalesce. Without it, a single-core
-    // host drains every request as a batch of one — the leader always
-    // finishes before the next client is even scheduled.
+    // Batching window: one yield lets requests racing with ours enqueue
+    // and coalesce. Without it, a single-core host drains every request
+    // as a batch of one — the leader always finishes before the next
+    // client is even scheduled.
     lk.unlock();
     std::this_thread::yield();
     lk.lock();
   }
-  while (!e->queue.empty()) {
-    std::vector<Pending*> batch;
-    while (!e->queue.empty() &&
-           static_cast<int>(batch.size()) < opts_.max_batch) {
-      batch.push_back(e->queue.front());
-      e->queue.pop_front();
-    }
-    lk.unlock();
-    std::exception_ptr err;
-    try {
-      run_batch(*e, batch);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    lk.lock();
-    for (Pending* q : batch) {
-      q->done = true;
-      q->error = err;
-    }
-    e->batch_cv.notify_all();
+  e->queue.erase(std::find(e->queue.begin(), e->queue.end(), &p));
+  std::vector<Pending*> batch{&p};
+  while (!e->queue.empty() &&
+         static_cast<int>(batch.size()) < opts_.max_batch) {
+    batch.push_back(e->queue.front());
+    e->queue.pop_front();
   }
+  for (Pending* q : batch) q->taken = true;
   e->leader_active = false;
   lk.unlock();
+  e->batch_cv.notify_all();  // a request still queued takes leadership
+  std::exception_ptr err;
+  try {
+    run_batch(*e, batch);
+  } catch (...) {
+    err = std::current_exception();
+  }
+  lk.lock();
+  for (Pending* q : batch) {
+    q->done = true;
+    q->error = err;
+  }
+  lk.unlock();
   e->batch_cv.notify_all();
-  if (p.error) std::rethrow_exception(p.error);
+  if (err) std::rethrow_exception(err);
 }
 
 void KernelServer::run_batch(CacheEntry& e, const std::vector<Pending*>& batch) {
@@ -362,45 +363,57 @@ void KernelServer::run_batch(CacheEntry& e, const std::vector<Pending*>& batch) 
   server_counters().batched.add(k);
 
   // SpMM-style multi-vector sweep: one pass over the sparse rows serves
-  // all k right-hand sides (src/blas spmm's loop order, row-outer /
-  // nonzero-middle / rhs-inner). Bitwise contract with the unbatched
-  // engine path: per (row, nonzero, request) the multiply chain is
-  // exactly the engine sink's — prod = scale; prod *= A; prod *= x;
-  // acc += prod — in ascending-nonzero order per row, and double-precision
-  // memory round-trips are exact, so a register accumulator vs per-element
-  // += cannot differ. tests/server_test.cpp enforces this against both
-  // serial CompiledKernel execution and blas::spmm.
+  // up to four right-hand sides at a time (src/blas spmm's loop order,
+  // row-outer / nonzero-middle / rhs-inner), each request's row sum held
+  // in its own register. Bitwise contract with the unbatched engine path:
+  // per (row, nonzero, request) the multiply chain is exactly the engine
+  // sink's — prod = scale; prod *= A; prod *= x; acc += prod — in
+  // ascending-nonzero order per row from acc = 0 (the engine's zeroed y),
+  // and double-precision memory round-trips are exact, so a register
+  // accumulator vs per-element += cannot differ. tests/server_test.cpp
+  // enforces this against both serial CompiledKernel execution and
+  // blas::spmm.
   const formats::Csr& m = *e.matrix;
-  const auto rowptr = m.rowptr();
-  const auto colind = m.colind();
-  const auto vals = m.vals();
+  const index_t* const rowptr = m.rowptr().data();
+  const index_t* const colind = m.colind().data();
+  const value_t* const vals = m.vals().data();
   const compiler::LinkedProgram& prog = e.kernel.program();
   const value_t scale = prog.mac.scale;
-  std::vector<const value_t*> xs(static_cast<std::size_t>(k));
-  std::vector<value_t*> ys(static_cast<std::size_t>(k));
-  for (int r = 0; r < k; ++r) {
-    const std::size_t ri = static_cast<std::size_t>(r);
-    xs[ri] = batch[ri]->x.data();
-    ys[ri] = batch[ri]->y.data();
-    std::fill(batch[ri]->y.begin(), batch[ri]->y.end(), 0.0);
-  }
-  const index_t rows = m.rows();
   auto sweep_rows = [&](index_t row_begin, index_t row_end) {
-    for (index_t i = row_begin; i < row_end; ++i) {
-      for (index_t ee = rowptr[static_cast<std::size_t>(i)];
-           ee < rowptr[static_cast<std::size_t>(i) + 1]; ++ee) {
-        const value_t av = vals[static_cast<std::size_t>(ee)];
-        const index_t col = colind[static_cast<std::size_t>(ee)];
-        for (int r = 0; r < k; ++r) {
-          value_t prod = scale;
-          prod *= av;
-          prod *= xs[static_cast<std::size_t>(r)][col];
-          ys[static_cast<std::size_t>(r)][i] += prod;
+    auto group = [&](int r0, auto width) {
+      constexpr int w = decltype(width)::value;
+      const value_t* x[w];
+      value_t* y[w];
+      for (int q = 0; q < w; ++q) {
+        x[q] = batch[static_cast<std::size_t>(r0 + q)]->x.data();
+        y[q] = batch[static_cast<std::size_t>(r0 + q)]->y.data();
+      }
+      for (index_t i = row_begin; i < row_end; ++i) {
+        value_t acc[w] = {};
+        for (index_t ee = rowptr[i]; ee < rowptr[i + 1]; ++ee) {
+          const value_t av = vals[ee];
+          const index_t col = colind[ee];
+          for (int q = 0; q < w; ++q) {
+            value_t prod = scale;
+            prod *= av;
+            prod *= x[q][col];
+            acc[q] += prod;
+          }
         }
+        for (int q = 0; q < w; ++q) y[q][i] = acc[q];
+      }
+    };
+    for (int r0 = 0; r0 < k; r0 += 4) {
+      switch (std::min(k - r0, 4)) {
+        case 1: group(r0, std::integral_constant<int, 1>{}); break;
+        case 2: group(r0, std::integral_constant<int, 2>{}); break;
+        case 3: group(r0, std::integral_constant<int, 3>{}); break;
+        default: group(r0, std::integral_constant<int, 4>{}); break;
       }
     }
   };
 
+  const index_t rows = m.rows();
   const long long t0 = now_ns();
   const int nthreads = std::min<int>(std::max(opts_.sweep_threads, 1),
                                      std::max<int>(rows, 1));

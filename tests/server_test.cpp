@@ -253,6 +253,45 @@ TEST(KernelServer, BatchedSweepBitwiseEqualsUnbatchedAndSpmm) {
   EXPECT_GT(srv.stats().batches, 0);
 }
 
+// A leader takes its own request plus at most max_batch - 1 queued ones
+// and hands leadership on before it sweeps, so requests it leaves queued
+// must lead batches of their own. With a cap of 2 under 8 clients every
+// request still completes bitwise and no sweep exceeds the cap.
+TEST(KernelServer, CappedBatchesHandLeadershipOn) {
+  formats::Csr A = random_csr(150, 150, 1800, 211);
+  constexpr int kClients = 8;
+  constexpr int kQueries = 30;
+
+  std::vector<Vector> xs, expects;
+  for (int t = 0; t < kClients; ++t) {
+    xs.push_back(random_x(150, 3000 + static_cast<std::uint64_t>(t)));
+    expects.push_back(reference_spmv(A, xs.back()));
+  }
+
+  server::ServerOptions opts;
+  opts.max_batch = 2;
+  server::KernelServer srv(opts);
+  const int h = srv.add_csr("A", A);
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t)
+    clients.emplace_back([&, t] {
+      const std::size_t ti = static_cast<std::size_t>(t);
+      Vector y(150);
+      for (int q = 0; q < kQueries; ++q) {
+        srv.spmv(h, ConstVectorView(xs[ti]), VectorView(y));
+        if (y != expects[ti]) failures.fetch_add(1);
+      }
+    });
+  for (std::thread& c : clients) c.join();
+
+  EXPECT_EQ(failures.load(), 0) << "batched response diverged bitwise";
+  const server::ServerStats s = srv.stats();
+  EXPECT_EQ(s.requests, kClients * kQueries);
+  EXPECT_LE(s.batched_requests, 2 * s.batches);
+}
+
 // Shape guard: a request with mismatched vector sizes must be rejected,
 // not silently read out of bounds.
 TEST(KernelServer, RejectsShapeMismatch) {
