@@ -8,7 +8,7 @@
 //
 // declare A sparse (CRS here), and let the compiler extract the relational
 // query, compute the sparsity predicate, pick a join plan, EXPLAIN it, run
-// it, and print the C code it would emit.
+// it, and print the C it generates (the unit the specialized rung compiles).
 #include <iostream>
 
 #include "compiler/loopnest.hpp"
@@ -44,7 +44,7 @@ int main() {
             << kernel.explain() << '\n';
   std::cout << "=== generated C ===\n" << kernel.emit("spmv_csr") << '\n';
 
-  kernel.run();  // y += A x through the plan interpreter
+  kernel.run();  // y += A x through the linked engine
 
   // Cross-check against the format's tuned kernel.
   Vector y_ref(n);

@@ -20,65 +20,6 @@ int find_var_slot(const Query& q, const std::string& v) {
   return static_cast<int>(it - q.vars.begin());
 }
 
-// Link-time index range of everything a level can enumerate — the same
-// whole-structure scan the specializing emitter uses for its always-hit
-// probe proofs (emit_standalone.cpp). O(nnz) once at link time, i.e.
-// inspector-phase work. mx < mn means the level enumerates nothing.
-struct IndexRange {
-  index_t mn = 0;
-  index_t mx = -1;
-};
-
-IndexRange scan_index_range(const index_t* a, index_t n) {
-  IndexRange r;
-  if (a == nullptr || n <= 0) return r;
-  r.mn = r.mx = a[0];
-  for (index_t k = 1; k < n; ++k) {
-    r.mn = std::min(r.mn, a[k]);
-    r.mx = std::max(r.mx, a[k]);
-  }
-  return r;
-}
-
-IndexRange enum_index_range(const relation::EnumSpec& es) {
-  using Kind = relation::EnumSpec::Kind;
-  switch (es.kind) {
-    case Kind::kDense: {
-      IndexRange r;
-      if (es.extent > 0) {
-        r.mn = 0;
-        r.mx = es.extent - 1;
-      }
-      return r;
-    }
-    case Kind::kSegmented:
-    case Kind::kList:
-    case Kind::kStrided:
-    case Kind::kOffsets:
-      return scan_index_range(es.ind, es.ind_len);
-    case Kind::kBlocked: {
-      // ind holds block columns; each expands to lanes
-      // [ind[b]*c, ind[b]*c + c - 1].
-      IndexRange r = scan_index_range(es.ind, es.ind_len);
-      if (r.mx >= r.mn) {
-        r.mn = r.mn * es.block_c;
-        r.mx = r.mx * es.block_c + es.block_c - 1;
-      }
-      return r;
-    }
-    case Kind::kSliced:
-      // Scans the whole lane-major array including padding slots; padding
-      // holds column 0, which can only widen the range toward 0 — a safe
-      // over-approximation for the in-window proofs below.
-      return scan_index_range(es.ind, es.ind_len);
-    case Kind::kFunction:
-      return scan_index_range(es.map, es.map_len);
-    case Kind::kNone:
-      break;
-  }
-  return {};
-}
-
 // Link-time always-hit proof for one enumerate level: every probe lowers
 // to pure arithmetic (identity/affine), never inserts, and the driver's
 // whole enumerable index range provably lands inside every probe's
@@ -89,7 +30,7 @@ bool prove_all_hit(const LinkedLevel& ll) {
     return false;
   const relation::EnumSpec es = ll.drivers[0].level->enum_spec();
   if (es.kind == relation::EnumSpec::Kind::kNone) return false;
-  const IndexRange r = enum_index_range(es);
+  const relation::IndexRange r = relation::enum_index_range(es);
   for (const LinkedProbe& pr : ll.probes) {
     if (pr.insert_on_miss) return false;
     if (pr.search.kind != relation::SearchSpec::Kind::kIdentity &&
@@ -382,7 +323,7 @@ PlanFootprint derive_footprint(const Plan& plan, const Query& q) {
         // driver's whole index range provably fits the accepting window
         // (the iteration-space relation I always filters, so CSR/CCS SpMV
         // depends on this proof).
-        const IndexRange r = enum_index_range(es);
+        const relation::IndexRange r = relation::enum_index_range(es);
         if (r.mx >= r.mn && (r.mn < 0 || r.mx >= ss.extent))
           return inexact(prel.view->name() + " filter at " + pl.var +
                          " may reject (driver enumerates [" +

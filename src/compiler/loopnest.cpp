@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "compiler/emit.hpp"
 #include "compiler/explain.hpp"
 #include "relation/array_views.hpp"
 #include "relation/bsr_view.hpp"
@@ -131,12 +132,12 @@ CompiledKernel compile(const LoopNest& nest, const Bindings& bindings,
   // Sparsity predicate (paper Eq. 3, computed with Bik & Wijshoff's rule):
   // a sparse array in a multiplicative position annihilates the update, so
   // it filters; the accumulation target never filters.
-  st->stmt.target_rel = add_relation(q, bindings, nest.body.target,
-                                     /*writes=*/true, /*filters=*/false);
-  st->stmt.scale = nest.body.scale;
+  st->target_rel = add_relation(q, bindings, nest.body.target,
+                                /*writes=*/true, /*filters=*/false);
+  st->scale = nest.body.scale;
   for (const auto& f : nest.body.factors) {
     bool sparse = bindings.lookup(f.array).sparse;
-    st->stmt.factor_rels.push_back(
+    st->factor_rels.push_back(
         add_relation(q, bindings, f, /*writes=*/false, /*filters=*/sparse));
   }
 
@@ -152,8 +153,7 @@ const LinkedProgram& CompiledKernel::program() const {
   std::call_once(st.link_once, [&st] {
     st.program = std::make_unique<const LinkedProgram>(
         link_plan(st.plan, st.query),
-        link_mac(st.query, st.stmt.target_rel, st.stmt.factor_rels,
-                 st.stmt.scale));
+        link_mac(st.query, st.target_rel, st.factor_rels, st.scale));
   });
   return *st.program;
 }
@@ -164,7 +164,12 @@ void CompiledKernel::run() const {
 }
 
 std::string CompiledKernel::emit(const std::string& function_name) const {
-  return emit_c(plan(), query(), state_->stmt, function_name);
+  const LinkedProgram& p = program();
+  const LinkedEmission e =
+      emit_linked_c(p.runners.linked(), p.mac, function_name);
+  if (e.ok) return e.source;
+  return "/* " + function_name + ": no C emitted (" + e.note +
+         ").\n   The linked engine runs this plan; explain() shows it. */\n";
 }
 
 std::string CompiledKernel::describe_plan() const {

@@ -15,7 +15,6 @@
 #include <memory>
 #include <mutex>
 
-#include "compiler/emit.hpp"
 #include "compiler/executor.hpp"
 #include "compiler/link.hpp"
 #include "compiler/planner.hpp"
@@ -134,7 +133,13 @@ class CompiledKernel {
   /// every copy of this kernel.
   const LinkedProgram& program() const;
 
-  /// The C program the compiler generates for this plan.
+  /// The C translation unit the compiler generates for this kernel: the
+  /// emit_linked_c text of the linked program, byte for byte what the
+  /// specialized rung compiles and runs, with `function_name` as its
+  /// exported symbol. Plans that emission does not cover (merge joins,
+  /// virtual probes, sparse fill-in) yield a short C comment naming the
+  /// function and the reason; the linked engine runs them and explain()
+  /// shows their plan.
   std::string emit(const std::string& function_name = "computed_kernel") const;
 
   /// Join-order / join-method summary.
@@ -155,7 +160,11 @@ class CompiledKernel {
   struct State {
     relation::Query query;
     Plan plan;
-    EmitStatement stmt;
+    // The statement as link_mac consumes it: Query::relations indices of
+    // the target and the multiplied factors, and the scale.
+    index_t target_rel = 0;
+    std::vector<index_t> factor_rels;
+    value_t scale = 1.0;
     // The iteration-space relation is synthesized by compile() and owned
     // by the kernel (other views belong to the Bindings).
     std::unique_ptr<relation::RelationView> interval;

@@ -22,18 +22,17 @@
 #include <string>
 #include <vector>
 
-#include "compiler/emit_standalone.hpp"
+#include "compiler/emit.hpp"
 #include "compiler/link.hpp"
 #include "support/dynlib.hpp"
 
 namespace bernoulli::compiler {
 
 /// Whether a (Plan, Query) pair is eligible for specialized codegen, and
-/// why (not) — the EXPLAIN footer. Eligible iff every level enumerates (no
-/// merge joins), every driver level exposes a flat EnumSpec, and every
-/// probe lowers to a flat SearchSpec with no sparse fill-in. The value
-/// arrays are a property of the statement, not the plan, so they are
-/// checked at kernel-build time instead.
+/// why (not) — the EXPLAIN footer. The rules are the emitter's own
+/// (emit_refusal in compiler/emit.hpp). The value arrays are a property of
+/// the statement, not the plan, so they are checked at kernel-build time
+/// instead.
 struct SpecializeLegality {
   bool ok = false;
   std::string note;

@@ -9,62 +9,14 @@ namespace bernoulli::relation {
 
 namespace {
 
-/// Dense interval [0, extent): index == position.
-class DenseIntervalLevel final : public IndexLevel {
- public:
-  explicit DenseIntervalLevel(index_t extent) : extent_(extent) {}
-
-  LevelProperties properties() const override {
-    return {/*sorted=*/true, /*dense=*/true, SearchCost::kConstant};
-  }
-
-  void enumerate(index_t, const EnumFn& fn) const override {
-    for (index_t i = 0; i < extent_; ++i)
-      if (!fn(i, i)) return;
-  }
-
-  index_t search(index_t, index_t index) const override {
-    return index >= 0 && index < extent_ ? index : -1;
-  }
-
-  double expected_size() const override { return static_cast<double>(extent_); }
-
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kDense;
-    d.extent = extent_;
-    d.stride = 0;  // pos = k for every parent
-    return d;
-  }
-
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + idx + " = 0; " + idx + " < " +
-           std::to_string(extent_) + "; ++" + idx + ") { const int " + pos +
-           " = " + idx + ";";
-  }
-
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = " + idx + ";  /* dense: O(1) */";
-  }
-
- private:
-  index_t extent_;
-};
-
 /// Segment level over (ptr, ind) compressed arrays: children of parent p
 /// are indices ind[ptr[p] .. ptr[p+1]-1] at positions equal to the offsets.
 /// Sorted within the segment; binary search.
 class CompressedLevel final : public IndexLevel {
  public:
   CompressedLevel(std::span<const index_t> ptr, std::span<const index_t> ind,
-                  double expected, std::string ptr_name, std::string ind_name)
-      : ptr_(ptr),
-        ind_(ind),
-        expected_(expected),
-        ptr_name_(std::move(ptr_name)),
-        ind_name_(std::move(ind_name)) {}
+                  double expected)
+      : ptr_(ptr), ind_(ind), expected_(expected) {}
 
   LevelProperties properties() const override {
     return {/*sorted=*/true, /*dense=*/false, SearchCost::kLog};
@@ -97,34 +49,17 @@ class CompressedLevel final : public IndexLevel {
     return d;
   }
 
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + pos + " = " + ptr_name_ + "[" + parent + "]; " + pos +
-           " < " + ptr_name_ + "[" + parent + " + 1]; ++" + pos +
-           ") { const int " + idx + " = " + ind_name_ + "[" + pos + "];";
-  }
-
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = binsearch(" + ind_name_ + ", " +
-           ptr_name_ + "[" + parent + "], " + ptr_name_ + "[" + parent +
-           " + 1], " + idx + "); if (" + pos + " < 0) continue;";
-  }
-
  private:
   std::span<const index_t> ptr_;
   std::span<const index_t> ind_;
   double expected_;
-  std::string ptr_name_;
-  std::string ind_name_;
 };
 
 /// Sorted list of distinct indices (e.g. the stored rows of a COO matrix):
 /// position = list offset.
 class SortedListLevel final : public IndexLevel {
  public:
-  SortedListLevel(std::span<const index_t> list, std::string list_name)
-      : list_(list), list_name_(std::move(list_name)) {}
+  explicit SortedListLevel(std::span<const index_t> list) : list_(list) {}
 
   LevelProperties properties() const override {
     return {/*sorted=*/true, /*dense=*/false, SearchCost::kLog};
@@ -154,31 +89,15 @@ class SortedListLevel final : public IndexLevel {
     return d;
   }
 
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + pos + " = 0; " + pos + " < " +
-           std::to_string(list_.size()) + "; ++" + pos + ") { const int " +
-           idx + " = " + list_name_ + "[" + pos + "];";
-  }
-
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = binsearch(" + list_name_ + ", 0, " +
-           std::to_string(list_.size()) + ", " + idx + "); if (" + pos +
-           " < 0) continue;";
-  }
-
  private:
   std::span<const index_t> list_;
-  std::string list_name_;
 };
 
 /// Functional single-child level: parent position p has exactly one child
 /// with index f(p) (used by the permutation view).
 class FunctionLevel final : public IndexLevel {
  public:
-  FunctionLevel(std::span<const index_t> map, std::string map_name)
-      : map_(map), map_name_(std::move(map_name)) {}
+  explicit FunctionLevel(std::span<const index_t> map) : map_(map) {}
 
   LevelProperties properties() const override {
     // A single child is trivially sorted; search is a comparison.
@@ -203,21 +122,8 @@ class FunctionLevel final : public IndexLevel {
     return d;
   }
 
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "{ const int " + idx + " = " + map_name_ + "[" + parent +
-           "]; const int " + pos + " = " + parent + ";";
-  }
-
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "if (" + map_name_ + "[" + parent + "] != " + idx +
-           ") continue; const int " + pos + " = " + parent + ";";
-  }
-
  private:
   std::span<const index_t> map_;
-  std::string map_name_;
 };
 
 /// Inner level of a dense matrix: children of row i are all columns; the
@@ -248,19 +154,6 @@ class DenseMatrixInnerLevel final : public IndexLevel {
     d.extent = cols_;
     d.stride = cols_;  // pos = parent*cols + k
     return d;
-  }
-
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + idx + " = 0; " + idx + " < " +
-           std::to_string(cols_) + "; ++" + idx + ") { const int " + pos +
-           " = " + parent + " * " + std::to_string(cols_) + " + " + idx + ";";
-  }
-
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = " + parent + " * " +
-           std::to_string(cols_) + " + " + idx + ";  /* dense: O(1) */";
   }
 
  private:
@@ -320,19 +213,13 @@ void DenseVectorView::value_set(index_t pos, value_t v) {
   mutable_data_[static_cast<std::size_t>(pos)] = v;
 }
 
-std::string DenseVectorView::value_expr(const std::string& pos) const {
-  return name_ + "[" + pos + "]";
-}
-
 // -------------------------------------------------------------------- CSR
 
 CsrView::CsrView(std::string name, const formats::Csr& m)
     : name_(std::move(name)), m_(m) {
   rows_ = std::make_unique<DenseIntervalLevel>(m.rows());
   double avg = m.rows() > 0 ? static_cast<double>(m.nnz()) / m.rows() : 0.0;
-  cols_ = std::make_unique<CompressedLevel>(m.rowptr(), m.colind(), avg,
-                                            name_ + "_ROWPTR",
-                                            name_ + "_COLIND");
+  cols_ = std::make_unique<CompressedLevel>(m.rowptr(), m.colind(), avg);
 }
 
 const IndexLevel& CsrView::level(index_t depth) const {
@@ -344,10 +231,6 @@ value_t CsrView::value_at(index_t pos) const {
   return m_.vals()[static_cast<std::size_t>(pos)];
 }
 
-std::string CsrView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
-}
-
 std::span<const value_t> CsrView::value_array() const { return m_.vals(); }
 
 // -------------------------------------------------------------------- CCS
@@ -356,9 +239,7 @@ CcsView::CcsView(std::string name, const formats::Ccs& m)
     : name_(std::move(name)), m_(m) {
   cols_ = std::make_unique<DenseIntervalLevel>(m.cols());
   double avg = m.cols() > 0 ? static_cast<double>(m.nnz()) / m.cols() : 0.0;
-  rows_ = std::make_unique<CompressedLevel>(m.colp(), m.rowind(), avg,
-                                            name_ + "_COLP",
-                                            name_ + "_ROWIND");
+  rows_ = std::make_unique<CompressedLevel>(m.colp(), m.rowind(), avg);
 }
 
 const IndexLevel& CcsView::level(index_t depth) const {
@@ -368,10 +249,6 @@ const IndexLevel& CcsView::level(index_t depth) const {
 
 value_t CcsView::value_at(index_t pos) const {
   return m_.vals()[static_cast<std::size_t>(pos)];
-}
-
-std::string CcsView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
 }
 
 std::span<const value_t> CcsView::value_array() const { return m_.vals(); }
@@ -392,14 +269,12 @@ CooView::CooView(std::string name, const formats::Coo& m)
   if (distinct_rows_.empty()) runptr_ = {0};
   // Level 0 positions are offsets into distinct_rows_; level 1 positions
   // are entry offsets (runptr_ segments over colind).
-  rows_ = std::make_unique<SortedListLevel>(distinct_rows_, name_ + "_ROWS");
+  rows_ = std::make_unique<SortedListLevel>(distinct_rows_);
   double avg = distinct_rows_.empty()
                    ? 0.0
                    : static_cast<double>(m.nnz()) /
                          static_cast<double>(distinct_rows_.size());
-  cols_ = std::make_unique<CompressedLevel>(runptr_, m.colind(), avg,
-                                            name_ + "_RUNPTR",
-                                            name_ + "_COLIND");
+  cols_ = std::make_unique<CompressedLevel>(runptr_, m.colind(), avg);
 }
 
 const IndexLevel& CooView::level(index_t depth) const {
@@ -409,10 +284,6 @@ const IndexLevel& CooView::level(index_t depth) const {
 
 value_t CooView::value_at(index_t pos) const {
   return m_.vals()[static_cast<std::size_t>(pos)];
-}
-
-std::string CooView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
 }
 
 std::span<const value_t> CooView::value_array() const { return m_.vals(); }
@@ -431,7 +302,7 @@ PermutationView::PermutationView(std::string name, std::vector<index_t> perm)
   }
   outer_ = std::make_unique<DenseIntervalLevel>(
       static_cast<index_t>(perm_.size()));
-  inner_ = std::make_unique<FunctionLevel>(perm_, name_ + "_PERM");
+  inner_ = std::make_unique<FunctionLevel>(perm_);
 }
 
 const IndexLevel& PermutationView::level(index_t depth) const {
@@ -462,10 +333,6 @@ void DenseMatrixView::value_add(index_t pos, value_t delta) {
 
 void DenseMatrixView::value_set(index_t pos, value_t v) {
   m_.data()[static_cast<std::size_t>(pos)] = v;
-}
-
-std::string DenseMatrixView::value_expr(const std::string& pos) const {
-  return name_ + "[" + pos + "]";
 }
 
 std::span<const value_t> DenseMatrixView::value_array() const {

@@ -16,6 +16,40 @@
 
 namespace bernoulli::relation {
 
+/// Dense interval [0, extent): index == position, for every parent. The
+/// row level of every row-major view (CSR, ELL, JDS, dense, format-spec
+/// `dense(N)`) and each level of the iteration space.
+class DenseIntervalLevel final : public IndexLevel {
+ public:
+  explicit DenseIntervalLevel(index_t extent) : extent_(extent) {}
+
+  LevelProperties properties() const override {
+    return {/*sorted=*/true, /*dense=*/true, SearchCost::kConstant};
+  }
+
+  void enumerate(index_t, const EnumFn& fn) const override {
+    for (index_t i = 0; i < extent_; ++i)
+      if (!fn(i, i)) return;
+  }
+
+  index_t search(index_t, index_t index) const override {
+    return index >= 0 && index < extent_ ? index : -1;
+  }
+
+  double expected_size() const override { return static_cast<double>(extent_); }
+
+  LevelDescriptor describe() const override {
+    LevelDescriptor d;
+    d.kind = LevelDescriptor::Kind::kDense;
+    d.extent = extent_;
+    d.stride = 0;  // pos = k for every parent
+    return d;
+  }
+
+ private:
+  index_t extent_;
+};
+
 /// I(v1, ..., vk): the iteration-space relation — a cross product of dense
 /// index intervals [0, extent). Carries no value. Position encoding at
 /// every level: the index itself.
@@ -47,7 +81,6 @@ class DenseVectorView final : public RelationView {
   bool writable() const override { return writable_; }
   void value_add(index_t pos, value_t delta) override;
   void value_set(index_t pos, value_t v) override;
-  std::string value_expr(const std::string& pos) const override;
   std::span<const value_t> value_array() const override { return data_; }
   std::span<value_t> value_array_mut() override { return mutable_data_; }
 
@@ -69,7 +102,6 @@ class CsrView final : public RelationView {
   const IndexLevel& level(index_t depth) const override;
   bool has_value() const override { return true; }
   value_t value_at(index_t pos) const override;
-  std::string value_expr(const std::string& pos) const override;
   std::span<const value_t> value_array() const override;
 
  private:
@@ -90,7 +122,6 @@ class CcsView final : public RelationView {
   const IndexLevel& level(index_t depth) const override;
   bool has_value() const override { return true; }
   value_t value_at(index_t pos) const override;
-  std::string value_expr(const std::string& pos) const override;
   std::span<const value_t> value_array() const override;
 
  private:
@@ -112,7 +143,6 @@ class CooView final : public RelationView {
   const IndexLevel& level(index_t depth) const override;
   bool has_value() const override { return true; }
   value_t value_at(index_t pos) const override;
-  std::string value_expr(const std::string& pos) const override;
   std::span<const value_t> value_array() const override;
 
  private:
@@ -162,7 +192,6 @@ class DenseMatrixView final : public RelationView {
   bool writable() const override { return true; }
   void value_add(index_t pos, value_t delta) override;
   void value_set(index_t pos, value_t v) override;
-  std::string value_expr(const std::string& pos) const override;
   std::span<const value_t> value_array() const override;
   std::span<value_t> value_array_mut() override;
 

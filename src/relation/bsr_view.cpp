@@ -31,9 +31,6 @@ const IndexLevel& BsrView::level(index_t depth) const {
 }
 bool BsrView::has_value() const { return inner_->has_value(); }
 value_t BsrView::value_at(index_t pos) const { return inner_->value_at(pos); }
-std::string BsrView::value_expr(const std::string& pos) const {
-  return inner_->value_expr(pos);
-}
 std::span<const value_t> BsrView::value_array() const {
   return inner_->value_array();
 }

@@ -106,7 +106,7 @@ struct Cursor {
 /// EnumSpec describes the iteration RULE for every parent at once: which
 /// arrays drive it, how positions derive from the loop counter, and how
 /// large the backing arrays are. The specializing code generator
-/// (compiler/emit_standalone.hpp) renders each kind as a C for-loop and
+/// (compiler/emit.hpp) renders each kind as a C for-loop and
 /// uses the array extents for whole-structure index scans (always-hit
 /// probe proofs). kNone means the level has no flat enumeration shape and
 /// specialization must fall back to the linked engine.
@@ -221,6 +221,18 @@ SearchSpec descriptor_search(const LevelDescriptor& d);
 /// The flat enumeration rule for the specializing code generator (kNone
 /// only for kOpaque).
 EnumSpec descriptor_enum(const LevelDescriptor& d);
+
+/// Index range of everything a level can enumerate, over every parent:
+/// the whole-structure scan behind the always-hit probe proofs of the
+/// linker and the C emitter. O(|ind|) per call. mx < mn means the level
+/// enumerates nothing. Sliced levels scan their padding lanes too; those
+/// hold column 0, which only widens the range toward 0 (a safe
+/// over-approximation for in-window proofs).
+struct IndexRange {
+  index_t mn = 0;
+  index_t mx = -1;
+};
+IndexRange enum_index_range(const EnumSpec& es);
 
 /// Human-readable one-liner for EXPLAIN footers: "dense 64", "compressed",
 /// "blocked 4x4", "sliced C=8 sigma=32", ...

@@ -6,6 +6,7 @@
 // and the format-spec DSL levels all describe themselves with the same
 // vocabulary, so a new format is one describe() — the cursor protocol,
 // the probe lowering and the specializer all follow mechanically.
+#include <algorithm>
 #include <string>
 
 #include "relation/cursor.hpp"
@@ -181,6 +182,56 @@ EnumSpec descriptor_enum(const LevelDescriptor& d) {
     case K::kOpaque: return e;
   }
   return e;
+}
+
+namespace {
+
+IndexRange scan_index_range(const index_t* a, index_t n) {
+  IndexRange r;
+  if (a == nullptr || n <= 0) return r;
+  r.mn = r.mx = a[0];
+  for (index_t k = 1; k < n; ++k) {
+    r.mn = std::min(r.mn, a[k]);
+    r.mx = std::max(r.mx, a[k]);
+  }
+  return r;
+}
+
+}  // namespace
+
+IndexRange enum_index_range(const EnumSpec& es) {
+  using Kind = EnumSpec::Kind;
+  switch (es.kind) {
+    case Kind::kDense: {
+      IndexRange r;
+      if (es.extent > 0) {
+        r.mn = 0;
+        r.mx = es.extent - 1;
+      }
+      return r;
+    }
+    case Kind::kSegmented:
+    case Kind::kList:
+    case Kind::kStrided:
+    case Kind::kOffsets:
+    case Kind::kSliced:
+      return scan_index_range(es.ind, es.ind_len);
+    case Kind::kBlocked: {
+      // ind holds block columns; each expands to lanes
+      // [ind[b]*c, ind[b]*c + c - 1].
+      IndexRange r = scan_index_range(es.ind, es.ind_len);
+      if (r.mx >= r.mn) {
+        r.mn = r.mn * es.block_c;
+        r.mx = r.mx * es.block_c + es.block_c - 1;
+      }
+      return r;
+    }
+    case Kind::kFunction:
+      return scan_index_range(es.map, es.map_len);
+    case Kind::kNone:
+      break;
+  }
+  return {};
 }
 
 std::string descriptor_text(const LevelDescriptor& d) {

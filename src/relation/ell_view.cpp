@@ -1,57 +1,15 @@
 #include "relation/ell_view.hpp"
 
+#include "relation/array_views.hpp"
 #include "support/error.hpp"
 
 namespace bernoulli::relation {
 
 namespace {
 
-class EllRowLevel final : public IndexLevel {
- public:
-  explicit EllRowLevel(index_t rows) : rows_(rows) {}
-
-  LevelProperties properties() const override {
-    return {/*sorted=*/true, /*dense=*/true, SearchCost::kConstant};
-  }
-
-  void enumerate(index_t, const EnumFn& fn) const override {
-    for (index_t i = 0; i < rows_; ++i)
-      if (!fn(i, i)) return;
-  }
-
-  index_t search(index_t, index_t index) const override {
-    return index >= 0 && index < rows_ ? index : -1;
-  }
-
-  double expected_size() const override { return static_cast<double>(rows_); }
-
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kDense;
-    d.extent = rows_;
-    return d;
-  }
-
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + idx + " = 0; " + idx + " < " +
-           std::to_string(rows_) + "; ++" + idx + ") { const int " + pos +
-           " = " + idx + ";";
-  }
-
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = " + idx + ";  /* dense: O(1) */";
-  }
-
- private:
-  index_t rows_;
-};
-
 class EllColLevel final : public IndexLevel {
  public:
-  EllColLevel(const formats::Ell& m, std::string name)
-      : m_(m), name_(std::move(name)) {}
+  explicit EllColLevel(const formats::Ell& m) : m_(m) {}
 
   LevelProperties properties() const override {
     // Columns are packed in ascending order by from_coo; search walks the
@@ -94,31 +52,16 @@ class EllColLevel final : public IndexLevel {
     return d;
   }
 
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    const std::string n = std::to_string(m_.rows());
-    return "for (int k = 0; k < " + name_ + "_ROWNNZ[" + parent +
-           "]; ++k) { const int " + pos + " = k * " + n + " + " + parent +
-           "; const int " + idx + " = " + name_ + "_COLIND[" + pos + "];";
-  }
-
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = ell_scan(" + name_ + ", " + parent +
-           ", " + idx + "); if (" + pos + " < 0) continue;";
-  }
-
  private:
   const formats::Ell& m_;
-  std::string name_;
 };
 
 }  // namespace
 
 EllView::EllView(std::string name, const formats::Ell& m)
     : name_(std::move(name)), m_(m) {
-  rows_ = std::make_unique<EllRowLevel>(m.rows());
-  cols_ = std::make_unique<EllColLevel>(m, name_);
+  rows_ = std::make_unique<DenseIntervalLevel>(m.rows());
+  cols_ = std::make_unique<EllColLevel>(m);
 }
 
 const IndexLevel& EllView::level(index_t depth) const {
@@ -128,10 +71,6 @@ const IndexLevel& EllView::level(index_t depth) const {
 
 value_t EllView::value_at(index_t pos) const {
   return m_.vals()[static_cast<std::size_t>(pos)];
-}
-
-std::string EllView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
 }
 
 std::span<const value_t> EllView::value_array() const { return m_.vals(); }

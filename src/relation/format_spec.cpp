@@ -4,6 +4,7 @@
 #include <cctype>
 #include <sstream>
 
+#include "relation/array_views.hpp"
 #include "support/error.hpp"
 
 namespace bernoulli::relation {
@@ -12,54 +13,14 @@ namespace {
 
 // ---------------------------------------------------------------- levels
 // Generic level implementations parameterized by user arrays. These mirror
-// the built-in views' levels but carry the user's array names for honest
-// code emission.
-
-class GDenseLevel final : public IndexLevel {
- public:
-  explicit GDenseLevel(index_t extent) : extent_(extent) {}
-
-  LevelProperties properties() const override {
-    return {true, true, SearchCost::kConstant};
-  }
-  void enumerate(index_t, const EnumFn& fn) const override {
-    for (index_t i = 0; i < extent_; ++i)
-      if (!fn(i, i)) return;
-  }
-  index_t search(index_t, index_t index) const override {
-    return index >= 0 && index < extent_ ? index : -1;
-  }
-  double expected_size() const override { return static_cast<double>(extent_); }
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kDense;
-    d.extent = extent_;
-    return d;
-  }
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + idx + " = 0; " + idx + " < " +
-           std::to_string(extent_) + "; ++" + idx + ") { const int " + pos +
-           " = " + idx + ";";
-  }
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = " + idx + ";  /* dense: O(1) */";
-  }
-
- private:
-  index_t extent_;
-};
+// the built-in views' levels; the spec's sortedness modifiers choose the
+// search method.
 
 class GCompressedLevel final : public IndexLevel {
  public:
   GCompressedLevel(std::span<const index_t> ptr, std::span<const index_t> ind,
-                   bool sorted, std::string ptr_name, std::string ind_name)
-      : ptr_(ptr),
-        ind_(ind),
-        sorted_(sorted),
-        ptr_name_(std::move(ptr_name)),
-        ind_name_(std::move(ind_name)) {}
+                   bool sorted)
+      : ptr_(ptr), ind_(ind), sorted_(sorted) {}
 
   LevelProperties properties() const override {
     return {sorted_, false, sorted_ ? SearchCost::kLog : SearchCost::kLinear};
@@ -99,32 +60,17 @@ class GCompressedLevel final : public IndexLevel {
     d.ind_len = static_cast<index_t>(ind_.size());
     return d;
   }
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + pos + " = " + ptr_name_ + "[" + parent + "]; " +
-           pos + " < " + ptr_name_ + "[" + parent + " + 1]; ++" + pos +
-           ") { const int " + idx + " = " + ind_name_ + "[" + pos + "];";
-  }
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    const char* fn = sorted_ ? "binsearch" : "scan";
-    return "const int " + pos + " = " + fn + "(" + ind_name_ + ", " +
-           ptr_name_ + "[" + parent + "], " + ptr_name_ + "[" + parent +
-           " + 1], " + idx + "); if (" + pos + " < 0) continue;";
-  }
 
  private:
   std::span<const index_t> ptr_;
   std::span<const index_t> ind_;
   bool sorted_;
-  std::string ptr_name_;
-  std::string ind_name_;
 };
 
 class GListLevel final : public IndexLevel {
  public:
-  GListLevel(std::span<const index_t> list, bool sorted, std::string name)
-      : list_(list), sorted_(sorted), name_(std::move(name)) {}
+  GListLevel(std::span<const index_t> list, bool sorted)
+      : list_(list), sorted_(sorted) {}
 
   LevelProperties properties() const override {
     return {sorted_, false, sorted_ ? SearchCost::kLog : SearchCost::kLinear};
@@ -155,30 +101,15 @@ class GListLevel final : public IndexLevel {
     d.ind_len = static_cast<index_t>(list_.size());
     return d;
   }
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + pos + " = 0; " + pos + " < " +
-           std::to_string(list_.size()) + "; ++" + pos + ") { const int " +
-           idx + " = " + name_ + "[" + pos + "];";
-  }
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    const char* fn = sorted_ ? "binsearch" : "scan";
-    return "const int " + pos + " = " + std::string(fn) + "(" + name_ +
-           ", 0, " + std::to_string(list_.size()) + ", " + idx + "); if (" +
-           pos + " < 0) continue;";
-  }
 
  private:
   std::span<const index_t> list_;
   bool sorted_;
-  std::string name_;
 };
 
 class GFunctionLevel final : public IndexLevel {
  public:
-  GFunctionLevel(std::span<const index_t> map, std::string name)
-      : map_(map), name_(std::move(name)) {}
+  explicit GFunctionLevel(std::span<const index_t> map) : map_(map) {}
 
   LevelProperties properties() const override {
     return {true, false, SearchCost::kConstant};
@@ -197,20 +128,9 @@ class GFunctionLevel final : public IndexLevel {
     d.map_len = static_cast<index_t>(map_.size());
     return d;
   }
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "{ const int " + idx + " = " + name_ + "[" + parent +
-           "]; const int " + pos + " = " + parent + ";";
-  }
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "if (" + name_ + "[" + parent + "] != " + idx +
-           ") continue; const int " + pos + " = " + parent + ";";
-  }
 
  private:
   std::span<const index_t> map_;
-  std::string name_;
 };
 
 // blocked(r=R, c=C, ptr=P, ind=I): BCSR block rows. The parent is a
@@ -222,15 +142,8 @@ class GFunctionLevel final : public IndexLevel {
 class GBlockedLevel final : public IndexLevel {
  public:
   GBlockedLevel(std::span<const index_t> ptr, std::span<const index_t> ind,
-                index_t r, index_t c, bool sorted, std::string ptr_name,
-                std::string ind_name)
-      : ptr_(ptr),
-        ind_(ind),
-        r_(r),
-        c_(c),
-        sorted_(sorted),
-        ptr_name_(std::move(ptr_name)),
-        ind_name_(std::move(ind_name)) {}
+                index_t r, index_t c, bool sorted)
+      : ptr_(ptr), ind_(ind), r_(r), c_(c), sorted_(sorted) {}
 
   LevelProperties properties() const override {
     return {sorted_, false, sorted_ ? SearchCost::kLog : SearchCost::kLinear};
@@ -285,27 +198,6 @@ class GBlockedLevel final : public IndexLevel {
     d.block_c = c_;
     return d;
   }
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    const std::string r = std::to_string(r_), c = std::to_string(c_);
-    const std::string rc = std::to_string(r_ * c_);
-    return "for (int b = " + ptr_name_ + "[" + parent + " / " + r + "]; b < " +
-           ptr_name_ + "[" + parent + " / " + r + " + 1]; ++b) for (int cc = " +
-           "0; cc < " + c + "; ++cc) { const int " + pos + " = b * " + rc +
-           " + (" + parent + " % " + r + ") * " + c + " + cc; const int " +
-           idx + " = " + ind_name_ + "[b] * " + c + " + cc;";
-  }
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    const char* fn = sorted_ ? "binsearch" : "scan";
-    return "const int b_ = " + std::string(fn) + "(" + ind_name_ + ", " +
-           ptr_name_ + "[" + parent + " / " + std::to_string(r_) + "], " +
-           ptr_name_ + "[" + parent + " / " + std::to_string(r_) + " + 1], " +
-           idx + " / " + std::to_string(c_) + "); if (b_ < 0) continue; " +
-           "const int " + pos + " = b_ * " + std::to_string(r_ * c_) + " + (" +
-           parent + " % " + std::to_string(r_) + ") * " + std::to_string(c_) +
-           " + " + idx + " % " + std::to_string(c_) + ";";
-  }
 
  private:
   std::span<const index_t> ptr_;
@@ -313,8 +205,6 @@ class GBlockedLevel final : public IndexLevel {
   index_t r_;
   index_t c_;
   bool sorted_;
-  std::string ptr_name_;
-  std::string ind_name_;
 };
 
 // sliced(chunk=C, sigma=S, base=B, len=L, ind=I): SELL-C-sigma. Rows are
@@ -326,17 +216,13 @@ class GSlicedLevel final : public IndexLevel {
  public:
   GSlicedLevel(std::span<const index_t> base, std::span<const index_t> len,
                std::span<const index_t> ind, index_t chunk, index_t sigma,
-               bool sorted, std::string base_name, std::string len_name,
-               std::string ind_name)
+               bool sorted)
       : base_(base),
         len_(len),
         ind_(ind),
         chunk_(chunk),
         sigma_(sigma),
-        sorted_(sorted),
-        base_name_(std::move(base_name)),
-        len_name_(std::move(len_name)),
-        ind_name_(std::move(ind_name)) {
+        sorted_(sorted) {
     long long total = 0;
     for (index_t l : len_) total += l;
     avg_ = len_.empty() ? 0.0
@@ -379,20 +265,6 @@ class GSlicedLevel final : public IndexLevel {
     d.sigma = sigma_;
     return d;
   }
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int k = 0; k < " + len_name_ + "[" + parent +
-           "]; ++k) { const int " + pos + " = " + base_name_ + "[" + parent +
-           "] + k * " + std::to_string(chunk_) + "; const int " + idx +
-           " = " + ind_name_ + "[" + pos + "];";
-  }
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = sell_scan(" + ind_name_ + ", " +
-           base_name_ + "[" + parent + "], " + len_name_ + "[" + parent +
-           "], " + std::to_string(chunk_) + ", " + idx + "); if (" + pos +
-           " < 0) continue;";
-  }
 
  private:
   std::span<const index_t> base_;
@@ -402,9 +274,6 @@ class GSlicedLevel final : public IndexLevel {
   index_t sigma_;
   bool sorted_;
   double avg_;
-  std::string base_name_;
-  std::string len_name_;
-  std::string ind_name_;
 };
 
 // ---------------------------------------------------------------- parser
@@ -515,6 +384,61 @@ Token parse_kv(Parser& p, const char* key, bool first) {
   return p.next();
 }
 
+// ------------------------------------------------------------ validation
+// The levels index the user's arrays unchecked on every enumerate and
+// search, and the linked engine reads the value array by leaf position,
+// so every structural promise they rely on is checked once, here.
+// `parents` is the number of positions the parent level can produce.
+
+// ptr holds one offset per parent plus the end: non-negative,
+// non-decreasing, and ending within the `ind_len` entries it indexes.
+void check_ptr(std::span<const index_t> ptr, long long parents,
+               index_t ind_len, const Token& t) {
+  BERNOULLI_CHECK_MSG(static_cast<long long>(ptr.size()) > parents,
+                      "format spec line "
+                          << t.line << ": " << t.text << " has " << ptr.size()
+                          << " entries but the parent level needs "
+                          << parents + 1);
+  for (std::size_t k = 0; k < ptr.size(); ++k)
+    BERNOULLI_CHECK_MSG(ptr[k] >= 0 && (k == 0 || ptr[k] >= ptr[k - 1]),
+                        "format spec line "
+                            << t.line << ": " << t.text << "[" << k
+                            << "] = " << ptr[k]
+                            << (ptr[k] < 0 ? " is negative" : " decreases"));
+  BERNOULLI_CHECK_MSG(ptr.back() <= ind_len,
+                      "format spec line "
+                          << t.line << ": " << t.text << " ends at "
+                          << ptr.back() << ", past the " << ind_len
+                          << " entries of its index array");
+}
+
+// A `sorted` level promises ascending indices within each segment: here
+// the `count` entries ind[first + k*stride].
+void check_ascending(std::span<const index_t> ind, index_t first,
+                     index_t count, index_t stride, const Token& t) {
+  for (index_t k = 1; k < count; ++k) {
+    const auto at = static_cast<std::size_t>(first + k * stride);
+    const auto prev = static_cast<std::size_t>(first + (k - 1) * stride);
+    BERNOULLI_CHECK_MSG(ind[prev] <= ind[at],
+                        "format spec line "
+                            << t.line << ": " << t.text
+                            << " is declared sorted but " << t.text << "["
+                            << at << "] = " << ind[at] << " follows "
+                            << ind[prev]);
+  }
+}
+
+// A lookup-table level (function map, sliced base/len) needs one entry
+// per parent position.
+void check_covers(std::span<const index_t> a, long long parents,
+                  const Token& t) {
+  BERNOULLI_CHECK_MSG(static_cast<long long>(a.size()) >= parents,
+                      "format spec line "
+                          << t.line << ": " << t.text << " has " << a.size()
+                          << " entries but the parent level needs "
+                          << parents);
+}
+
 }  // namespace
 
 GenericFormatView::~GenericFormatView() = default;
@@ -526,6 +450,8 @@ GenericFormatView::GenericFormatView(const std::string& spec,
   name_ = p.next().text;
   p.expect("{");
 
+  // Positions the previous level can produce (the root has one parent).
+  long long parents = 1;
   while (peek_is(p, "level")) {
     p.expect("level");
     level_vars_.push_back(p.next().text);
@@ -542,7 +468,12 @@ GenericFormatView::GenericFormatView(const std::string& spec,
         BERNOULLI_CHECK_MSG(false, "format spec line "
                                        << n.line << ": dense() needs a number");
       }
-      levels_.push_back(std::make_unique<GDenseLevel>(extent));
+      BERNOULLI_CHECK_MSG(extent >= 0, "format spec line "
+                                           << n.line
+                                           << ": dense() needs a "
+                                           << "non-negative extent");
+      levels_.push_back(std::make_unique<DenseIntervalLevel>(extent));
+      parents = extent;
     } else if (kind.text == "compressed") {
       p.expect("(");
       p.expect("ptr");
@@ -556,11 +487,14 @@ GenericFormatView::GenericFormatView(const std::string& spec,
       bool sorted = parse_sortedness(p);
       auto ptr_span = lookup_index(arrays, ptr.text, ptr.line);
       auto ind_span = lookup_index(arrays, ind.text, ind.line);
-      BERNOULLI_CHECK_MSG(!ptr_span.empty(),
-                          "format spec line " << ptr.line
-                                              << ": empty ptr array");
-      levels_.push_back(std::make_unique<GCompressedLevel>(
-          ptr_span, ind_span, sorted, ptr.text, ind.text));
+      check_ptr(ptr_span, parents, static_cast<index_t>(ind_span.size()), ptr);
+      if (sorted)
+        for (std::size_t s = 0; s + 1 < ptr_span.size(); ++s)
+          check_ascending(ind_span, ptr_span[s], ptr_span[s + 1] - ptr_span[s],
+                          1, ind);
+      levels_.push_back(
+          std::make_unique<GCompressedLevel>(ptr_span, ind_span, sorted));
+      parents = ptr_span.back();
     } else if (kind.text == "list") {
       p.expect("(");
       p.expect("ind");
@@ -568,16 +502,21 @@ GenericFormatView::GenericFormatView(const std::string& spec,
       Token ind = p.next();
       p.expect(")");
       bool sorted = parse_sortedness(p);
-      levels_.push_back(std::make_unique<GListLevel>(
-          lookup_index(arrays, ind.text, ind.line), sorted, ind.text));
+      auto ind_span = lookup_index(arrays, ind.text, ind.line);
+      if (sorted)
+        check_ascending(ind_span, 0, static_cast<index_t>(ind_span.size()), 1,
+                        ind);
+      levels_.push_back(std::make_unique<GListLevel>(ind_span, sorted));
+      parents = static_cast<index_t>(ind_span.size());
     } else if (kind.text == "function") {
       p.expect("(");
       p.expect("map");
       p.expect("=");
       Token map = p.next();
       p.expect(")");
-      levels_.push_back(std::make_unique<GFunctionLevel>(
-          lookup_index(arrays, map.text, map.line), map.text));
+      auto map_span = lookup_index(arrays, map.text, map.line);
+      check_covers(map_span, parents, map);
+      levels_.push_back(std::make_unique<GFunctionLevel>(map_span));
     } else if (kind.text == "blocked") {
       p.expect("(");
       Token rt = parse_kv(p, "r", /*first=*/true);
@@ -608,8 +547,15 @@ GenericFormatView::GenericFormatView(const std::string& spec,
                                 << ") covers " << rows << " rows but parent "
                                 << "level is dense(" << pd.extent << ")");
       }
-      levels_.push_back(std::make_unique<GBlockedLevel>(
-          ptr_span, ind_span, r, c, sorted, ptr.text, ind.text));
+      check_ptr(ptr_span, (parents + r - 1) / r,
+                static_cast<index_t>(ind_span.size()), ptr);
+      if (sorted)
+        for (std::size_t s = 0; s + 1 < ptr_span.size(); ++s)
+          check_ascending(ind_span, ptr_span[s], ptr_span[s + 1] - ptr_span[s],
+                          1, ind);
+      levels_.push_back(std::make_unique<GBlockedLevel>(ptr_span, ind_span, r,
+                                                        c, sorted));
+      parents = static_cast<long long>(ptr_span.back()) * r * c;
     } else if (kind.text == "sliced") {
       p.expect("(");
       Token chunk_t = parse_kv(p, "chunk", /*first=*/true);
@@ -639,9 +585,26 @@ GenericFormatView::GenericFormatView(const std::string& spec,
                               << "have one entry per row (|" << base.text
                               << "|=" << base_span.size() << ", |" << len.text
                               << "|=" << len_span.size() << ")");
+      check_covers(base_span, parents, base);
+      // Only the lanes within len are ever read; padding beyond is free.
+      long long end = 0;
+      for (std::size_t i = 0; i < base_span.size(); ++i) {
+        const index_t b = base_span[i], n = len_span[i];
+        const long long last = b + (n - 1LL) * chunk;
+        BERNOULLI_CHECK_MSG(
+            b >= 0 && n >= 0 &&
+                (n == 0 || last < static_cast<long long>(ind_span.size())),
+            "format spec line "
+                << base.line << ": sliced() row " << i << " (" << base.text
+                << " = " << b << ", " << len.text << " = " << n
+                << ") overruns the " << ind_span.size() << " entries of "
+                << ind.text);
+        if (n > 0) end = std::max(end, last + 1);
+        if (sorted) check_ascending(ind_span, b, n, chunk, ind);
+      }
       levels_.push_back(std::make_unique<GSlicedLevel>(
-          base_span, len_span, ind_span, chunk, sigma, sorted, base.text,
-          len.text, ind.text));
+          base_span, len_span, ind_span, chunk, sigma, sorted));
+      parents = end;
     } else {
       BERNOULLI_CHECK_MSG(false, "format spec line "
                                      << kind.line << ": unknown level kind '"
@@ -658,8 +621,13 @@ GenericFormatView::GenericFormatView(const std::string& spec,
                         "format spec line " << v.line
                                             << ": unknown value array '"
                                             << v.text << "'");
-    value_array_ = v.text;
+    has_value_ = true;
     values_ = it->second;
+    BERNOULLI_CHECK_MSG(static_cast<long long>(values_.size()) >= parents,
+                        "format spec line "
+                            << v.line << ": value array " << v.text << " has "
+                            << values_.size() << " entries but the levels "
+                            << "address " << parents << " positions");
     p.expect(";");
   }
   p.expect("}");
@@ -676,10 +644,6 @@ value_t GenericFormatView::value_at(index_t pos) const {
   BERNOULLI_CHECK(pos >= 0 &&
                   pos < static_cast<index_t>(values_.size()));
   return values_[static_cast<std::size_t>(pos)];
-}
-
-std::string GenericFormatView::value_expr(const std::string& pos) const {
-  return value_array_ + "[" + pos + "]";
 }
 
 }  // namespace bernoulli::relation

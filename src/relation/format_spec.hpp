@@ -57,8 +57,14 @@ class GenericFormatView final : public RelationView {
  public:
   /// Parses `spec` and wires the levels to `arrays`. Throws
   /// bernoulli::Error with a line-anchored message on syntax errors,
-  /// unknown array names, or structurally impossible specs.
+  /// unknown array names, structurally impossible specs, or arrays that
+  /// break the structure the spec declares: a ptr that is negative,
+  /// decreasing, too short for its parent level or ending past its index
+  /// array; a sliced row whose base + len lanes overrun ind; a value array
+  /// shorter than the leaf positions; a `sorted` segment that descends.
   GenericFormatView(const std::string& spec, const FormatArrays& arrays);
+  /// The view borrows the arrays, so a temporary bundle would dangle.
+  GenericFormatView(const std::string& spec, FormatArrays&& arrays) = delete;
   ~GenericFormatView() override;
 
   std::string name() const override { return name_; }
@@ -66,9 +72,8 @@ class GenericFormatView final : public RelationView {
     return static_cast<index_t>(levels_.size());
   }
   const IndexLevel& level(index_t depth) const override;
-  bool has_value() const override { return !value_array_.empty(); }
+  bool has_value() const override { return has_value_; }
   value_t value_at(index_t pos) const override;
-  std::string value_expr(const std::string& pos) const override;
 
   /// The user's value array is flat and address-stable for the view's
   /// lifetime, so the linked engine's bulk drains and the specializer can
@@ -82,7 +87,7 @@ class GenericFormatView final : public RelationView {
 
  private:
   std::string name_;
-  std::string value_array_;
+  bool has_value_ = false;
   ConstVectorView values_;
   std::vector<std::string> level_vars_;
   std::vector<std::unique_ptr<IndexLevel>> levels_;

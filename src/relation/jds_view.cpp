@@ -1,58 +1,16 @@
 #include "relation/jds_view.hpp"
 
+#include "relation/array_views.hpp"
 #include "support/error.hpp"
 
 namespace bernoulli::relation {
 
 namespace {
 
-class JdsRowLevel final : public IndexLevel {
- public:
-  explicit JdsRowLevel(index_t rows) : rows_(rows) {}
-
-  LevelProperties properties() const override {
-    return {/*sorted=*/true, /*dense=*/true, SearchCost::kConstant};
-  }
-
-  void enumerate(index_t, const EnumFn& fn) const override {
-    for (index_t ip = 0; ip < rows_; ++ip)
-      if (!fn(ip, ip)) return;
-  }
-
-  index_t search(index_t, index_t index) const override {
-    return index >= 0 && index < rows_ ? index : -1;
-  }
-
-  double expected_size() const override { return static_cast<double>(rows_); }
-
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kDense;
-    d.extent = rows_;
-    return d;
-  }
-
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + idx + " = 0; " + idx + " < " +
-           std::to_string(rows_) + "; ++" + idx + ") { const int " + pos +
-           " = " + idx + ";";
-  }
-
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = " + idx + ";  /* dense: O(1) */";
-  }
-
- private:
-  index_t rows_;
-};
-
 class JdsColLevel final : public IndexLevel {
  public:
-  JdsColLevel(const formats::Jds& m, std::span<const index_t> rowlen,
-              std::string name)
-      : m_(m), rowlen_(rowlen), name_(std::move(name)) {}
+  JdsColLevel(const formats::Jds& m, std::span<const index_t> rowlen)
+      : m_(m), rowlen_(rowlen) {}
 
   LevelProperties properties() const override {
     // Entries of a permuted row come from consecutive jagged diagonals;
@@ -97,24 +55,9 @@ class JdsColLevel final : public IndexLevel {
     return d;
   }
 
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int k = 0; k < " + name_ + "_ROWLEN[" + parent +
-           "]; ++k) { const int " + pos + " = " + name_ + "_JDPTR[k] + " +
-           parent + "; const int " + idx + " = " + name_ + "_COLIND[" + pos +
-           "];";
-  }
-
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = jds_scan(" + name_ + ", " + parent +
-           ", " + idx + "); if (" + pos + " < 0) continue;";
-  }
-
  private:
   const formats::Jds& m_;
   std::span<const index_t> rowlen_;
-  std::string name_;
 };
 
 }  // namespace
@@ -131,8 +74,8 @@ JdsView::JdsView(std::string name, const formats::Jds& m)
     for (index_t ip = 0; ip < len; ++ip)
       ++rowlen_[static_cast<std::size_t>(ip)];
   }
-  rows_ = std::make_unique<JdsRowLevel>(m.rows());
-  cols_ = std::make_unique<JdsColLevel>(m_, rowlen_, name_);
+  rows_ = std::make_unique<DenseIntervalLevel>(m.rows());
+  cols_ = std::make_unique<JdsColLevel>(m_, rowlen_);
 }
 
 const IndexLevel& JdsView::level(index_t depth) const {
@@ -142,10 +85,6 @@ const IndexLevel& JdsView::level(index_t depth) const {
 
 value_t JdsView::value_at(index_t pos) const {
   return m_.vals()[static_cast<std::size_t>(pos)];
-}
-
-std::string JdsView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
 }
 
 std::span<const value_t> JdsView::value_array() const { return m_.vals(); }

@@ -30,7 +30,6 @@ class JdsView final : public RelationView {
   const IndexLevel& level(index_t depth) const override;
   bool has_value() const override { return true; }
   value_t value_at(index_t pos) const override;
-  std::string value_expr(const std::string& pos) const override;
   std::span<const value_t> value_array() const override;
 
   /// The original-row -> permuted-row map (IPERM), ready to build the

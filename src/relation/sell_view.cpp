@@ -33,9 +33,6 @@ const IndexLevel& SellView::level(index_t depth) const {
 }
 bool SellView::has_value() const { return inner_->has_value(); }
 value_t SellView::value_at(index_t pos) const { return inner_->value_at(pos); }
-std::string SellView::value_expr(const std::string& pos) const {
-  return inner_->value_expr(pos);
-}
 std::span<const value_t> SellView::value_array() const {
   return inner_->value_array();
 }

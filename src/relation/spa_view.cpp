@@ -71,12 +71,6 @@ class SpaColLevel final : public IndexLevel {
                : 0.0;
   }
 
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = spa_lookup_or_insert(" + owner_.name_ +
-           ", " + parent + ", " + idx + ");";
-  }
-
  private:
   SpaView& owner_;
 };
@@ -106,10 +100,6 @@ void SpaView::value_add(index_t pos, value_t delta) {
 
 void SpaView::value_set(index_t pos, value_t v) {
   vals_[static_cast<std::size_t>(pos)] = v;
-}
-
-std::string SpaView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
 }
 
 formats::Coo SpaView::harvest() const {

@@ -30,7 +30,6 @@ class SpaView final : public RelationView {
   bool writable() const override { return true; }
   void value_add(index_t pos, value_t delta) override;
   void value_set(index_t pos, value_t v) override;
-  std::string value_expr(const std::string& pos) const override;
 
   /// Stored (inserted) entries so far.
   index_t nnz() const { return static_cast<index_t>(vals_.size()); }

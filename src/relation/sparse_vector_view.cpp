@@ -10,8 +10,7 @@ namespace {
 
 class SparseVectorLevel final : public IndexLevel {
  public:
-  SparseVectorLevel(std::span<const index_t> ind, std::string name)
-      : ind_(ind), name_(std::move(name)) {}
+  explicit SparseVectorLevel(std::span<const index_t> ind) : ind_(ind) {}
 
   LevelProperties properties() const override {
     return {/*sorted=*/true, /*dense=*/false, SearchCost::kLog};
@@ -41,23 +40,8 @@ class SparseVectorLevel final : public IndexLevel {
     return d;
   }
 
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + pos + " = 0; " + pos + " < " +
-           std::to_string(ind_.size()) + "; ++" + pos + ") { const int " +
-           idx + " = " + name_ + "_IND[" + pos + "];";
-  }
-
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = binsearch(" + name_ + "_IND, 0, " +
-           std::to_string(ind_.size()) + ", " + idx + "); if (" + pos +
-           " < 0) continue;";
-  }
-
  private:
   std::span<const index_t> ind_;
-  std::string name_;
 };
 
 }  // namespace
@@ -65,7 +49,7 @@ class SparseVectorLevel final : public IndexLevel {
 SparseVectorView::SparseVectorView(std::string name,
                                    const formats::SparseVector& v)
     : name_(std::move(name)), v_(v) {
-  level_ = std::make_unique<SparseVectorLevel>(v.ind(), name_);
+  level_ = std::make_unique<SparseVectorLevel>(v.ind());
 }
 
 const IndexLevel& SparseVectorView::level(index_t depth) const {
@@ -75,10 +59,6 @@ const IndexLevel& SparseVectorView::level(index_t depth) const {
 
 value_t SparseVectorView::value_at(index_t pos) const {
   return v_.vals()[static_cast<std::size_t>(pos)];
-}
-
-std::string SparseVectorView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
 }
 
 std::span<const value_t> SparseVectorView::value_array() const {

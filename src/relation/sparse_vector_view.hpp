@@ -19,7 +19,6 @@ class SparseVectorView final : public RelationView {
   const IndexLevel& level(index_t depth) const override;
   bool has_value() const override { return true; }
   value_t value_at(index_t pos) const override;
-  std::string value_expr(const std::string& pos) const override;
   std::span<const value_t> value_array() const override;
 
  private:

@@ -66,7 +66,8 @@ class IndexLevel {
   // A level declares its storage shape ONCE via describe(); the cursor,
   // search and enumeration lowerings all derive from that descriptor in
   // relation/descriptor.cpp, so a new format is one describe() — not a
-  // cursor backend, a search lowering and an emitter case by hand.
+  // cursor backend, a search lowering and an emitter case by hand. The C
+  // emitter (compiler/emit.hpp) renders levels from the same descriptor.
   // kOpaque (the default) keeps the fully-virtual fallbacks: cursors
   // materialize enumerate() into a buffer, probes go through search().
 
@@ -89,23 +90,6 @@ class IndexLevel {
   /// specializing code generator compiles into a C loop. kNone for
   /// kOpaque levels (specialization falls back to the linked engine).
   EnumSpec enum_spec() const { return descriptor_enum(describe()); }
-
-  // --- Codegen hooks -------------------------------------------------
-  // The compiler's emitter materializes a plan as C-like source; each
-  // access method renders its own enumeration loop header and search
-  // statement. `parent`, `idx`, `pos` are identifier names to use. The
-  // defaults emit generic access-method calls, which is exactly what the
-  // Bernoulli compiler falls back to for formats without inlined methods.
-
-  /// A `for (...) {`-style header binding `idx` and `pos`.
-  virtual std::string emit_enumerate(const std::string& parent,
-                                     const std::string& idx,
-                                     const std::string& pos) const;
-
-  /// Statements that bind `pos` from a known `idx`, `continue`-ing on miss.
-  virtual std::string emit_search(const std::string& parent,
-                                  const std::string& idx,
-                                  const std::string& pos) const;
 };
 
 /// A relation R(v1, ..., vk [, value]) viewed through its access-method
@@ -133,10 +117,6 @@ class RelationView {
   virtual bool writable() const { return false; }
   virtual void value_add(index_t leaf_pos, value_t delta);
   virtual void value_set(index_t leaf_pos, value_t v);
-
-  /// C expression for the value addressed by position identifier `pos`
-  /// (codegen hook; default renders a generic accessor call).
-  virtual std::string value_expr(const std::string& pos) const;
 
   /// Raw value storage addressed by leaf positions, when the format keeps
   /// values in one flat array whose address is stable across a run (the

@@ -257,14 +257,16 @@ TEST(Compile, EmitsCsrLoopNest) {
   b.bind_dense_vector("Y", VectorView(y));
   CompiledKernel k = compile(matvec_nest(10, 10), b);
   std::string code = k.emit("spmv_csr");
-  EXPECT_NE(code.find("void spmv_csr(void)"), std::string::npos) << code;
-  EXPECT_NE(code.find("A_ROWPTR"), std::string::npos) << code;
-  EXPECT_NE(code.find("A_COLIND"), std::string::npos) << code;
-  EXPECT_NE(code.find("Y["), std::string::npos) << code;
-  EXPECT_NE(code.find("+="), std::string::npos) << code;
+  EXPECT_NE(code.find("int spmv_csr(const int** ia"), std::string::npos)
+      << code;
+  // Arguments are named by slot; their comments say which array each is.
+  EXPECT_NE(code.find("/* A: level 1 ptr */"), std::string::npos) << code;
+  EXPECT_NE(code.find("/* A: level 1 ind */"), std::string::npos) << code;
+  EXPECT_NE(code.find("/* Y: values */"), std::string::npos) << code;
+  EXPECT_NE(code.find("] += prod;"), std::string::npos) << code;
 }
 
-TEST(Compile, EmitsMergeJoinAsTwoFingerLoop) {
+TEST(Compile, EmitRefusesMergeJoinWithComment) {
   Coo a = random_matrix(10, 10, 40, 17);
   Csr csr = Csr::from_coo(a);
   SparseVector x(10, {{1, 1.0}, {4, 2.0}});
@@ -276,9 +278,17 @@ TEST(Compile, EmitsMergeJoinAsTwoFingerLoop) {
   PlannerOptions opts;
   opts.force_order = std::vector<std::string>{"i", "j"};
   CompiledKernel k = compile(matvec_nest(10, 10), b, opts);
-  std::string code = k.emit();
-  EXPECT_NE(code.find("merge join"), std::string::npos) << code;
-  EXPECT_NE(code.find("while ("), std::string::npos) << code;
+  // Emission covers enumerate-only plans; a merge plan yields a comment
+  // naming the function and the merge level, and still runs linked.
+  std::string code = k.emit("spmv_merge");
+  EXPECT_EQ(code.rfind("/* spmv_merge: ", 0), 0u) << code;
+  EXPECT_NE(code.find("level 1 is a merge join"), std::string::npos) << code;
+  EXPECT_NE(code.find("explain()"), std::string::npos) << code;
+  EXPECT_EQ(code.find('{'), std::string::npos) << code;
+  // The EXPLAIN footer gives the emitter's reason.
+  EXPECT_NE(k.explain().find("linked fallback — level 1 is a merge join"),
+            std::string::npos)
+      << k.explain();
 }
 
 TEST(Compile, RejectsUnboundArray) {

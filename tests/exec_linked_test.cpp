@@ -29,6 +29,8 @@
 #include "support/profile.hpp"
 #include "support/rng.hpp"
 
+#include "metrics_delta.hpp"
+
 namespace bernoulli::compiler {
 namespace {
 
@@ -44,22 +46,6 @@ Coo random_matrix(index_t rows, index_t cols, index_t nnz,
     b.add(rng.next_index(rows), rng.next_index(cols),
           rng.next_double(-1.0, 1.0));
   return std::move(b).build();
-}
-
-// executor.* counter deltas across a run (zero deltas elided, so the
-// comparison is independent of which counters other tests registered).
-std::map<std::string, long long> exec_delta(
-    const support::MetricsSnapshot& before,
-    const support::MetricsSnapshot& after) {
-  std::map<std::string, long long> d;
-  for (const auto& [name, v] : after.counts) {
-    if (name.rfind("executor.", 0) != 0) continue;
-    long long b = 0;
-    if (auto it = before.counts.find(name); it != before.counts.end())
-      b = it->second;
-    if (v != b) d[name] = v - b;
-  }
-  return d;
 }
 
 struct EngineRun {
@@ -389,25 +375,6 @@ TEST(LinkedExec, RunnerReuseKeepsCountsStable) {
 }
 
 // ---- Parallel execution: ParallelRunner vs the interpreter ----------
-
-// executor.fanout.* histogram bucket deltas across a run (all-zero
-// histograms elided, mirroring exec_delta).
-std::map<std::string, std::vector<long long>> fanout_delta(
-    const support::MetricsSnapshot& before,
-    const support::MetricsSnapshot& after) {
-  std::map<std::string, std::vector<long long>> d;
-  for (const auto& [name, buckets] : after.histograms) {
-    if (name.rfind("executor.fanout.", 0) != 0) continue;
-    std::vector<long long> delta = buckets;
-    if (auto it = before.histograms.find(name); it != before.histograms.end())
-      for (std::size_t i = 0; i < delta.size() && i < it->second.size(); ++i)
-        delta[i] -= it->second[i];
-    bool any = false;
-    for (long long v : delta) any = any || v != 0;
-    if (any) d[name] = std::move(delta);
-  }
-  return d;
-}
 
 class ParallelSweep : public ::testing::TestWithParam<Case> {};
 

@@ -86,10 +86,10 @@ TEST(FormatSpec, CompilesThroughThePipeline) {
   compiler::CompiledKernel k = compiler::compile(nest, b);
   k.run();
   for (std::size_t i = 0; i < y.size(); ++i) ASSERT_NEAR(y[i], y_ref[i], 1e-12);
-  // Emission names the user's arrays.
+  // Emission labels each argument with its relation and role.
   std::string code = k.emit();
-  EXPECT_NE(code.find("ROWPTR"), std::string::npos);
-  EXPECT_NE(code.find("VALS["), std::string::npos);
+  EXPECT_NE(code.find("/* A: level 1 ptr */"), std::string::npos) << code;
+  EXPECT_NE(code.find("/* A: values */"), std::string::npos) << code;
 }
 
 TEST(FormatSpec, UnsortedLevelGetsLinearSearch) {
@@ -249,6 +249,100 @@ TEST(FormatSpec, BlockedAndSlicedErrorsAreAnchored) {
       "format X {\n  level i: dense(2);\n"
       "  level j: sliced(chunk=4, sigma=8, base=BASE, len=LEN3, ind=IND);\n}",
       "line 3", "base and len must have one entry per row");
+}
+
+// The levels read the user's arrays unchecked, so arrays that break the
+// declared structure are rejected at construction, anchored to the line
+// that declares them. Each case below is one structural check.
+FormatArrays broken_arrays() {
+  FormatArrays arrays;
+  arrays.index_arrays["IND"] = {0, 1};
+  arrays.index_arrays["DESC"] = {1, 0};
+  arrays.index_arrays["PTR"] = {0, 1, 2};
+  arrays.index_arrays["PAIR"] = {0, 2, 2};
+  arrays.index_arrays["NEG"] = {-1, 1, 2};
+  arrays.index_arrays["DEC"] = {0, 2, 1};
+  arrays.index_arrays["LONG"] = {0, 1, 3};
+  arrays.index_arrays["ONE_ROW"] = {0, 2};
+  arrays.index_arrays["BASE"] = {0, 1};
+  arrays.index_arrays["LEN"] = {2, 2};
+  arrays.index_arrays["LEN_PAD"] = {2, 1};
+  arrays.index_arrays["SIND3"] = {3, 5, 4};
+  arrays.index_arrays["SIND4"] = {3, 5, 4, 0};
+  arrays.value_arrays["VALS"] = {1.0, 2.0, 3.0, 4.0};
+  arrays.value_arrays["SHORT"] = {1.0};
+  return arrays;
+}
+
+// Builds `format X { dense(2) over <level> [; value <value>] }` and expects
+// a throw at `line` whose message contains `needle`.
+void expect_spec_error(const std::string& level, const std::string& needle,
+                       const std::string& value = "", int line = 3) {
+  std::string spec = "format X {\n  level i: dense(2);\n  level j: " +
+                     level + ";\n";
+  if (!value.empty()) spec += "  value " + value + ";\n";
+  spec += "}";
+  const FormatArrays arrays = broken_arrays();
+  try {
+    GenericFormatView v(spec, arrays);
+    FAIL() << "expected throw mentioning: " << needle;
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format spec line " + std::to_string(line)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
+TEST(FormatSpec, RejectsNegativePtr) {
+  expect_spec_error("compressed(ptr=NEG, ind=IND)", "NEG[0] = -1 is negative");
+}
+
+TEST(FormatSpec, RejectsDecreasingPtr) {
+  expect_spec_error("compressed(ptr=DEC, ind=IND)", "DEC[2] = 1 decreases");
+}
+
+TEST(FormatSpec, RejectsPtrEndingPastIndexArray) {
+  expect_spec_error("compressed(ptr=LONG, ind=IND)",
+                    "LONG ends at 3, past the 2 entries");
+  expect_spec_error("blocked(r=1, c=1, ptr=LONG, ind=IND)",
+                    "LONG ends at 3, past the 2 entries");
+  // A ptr too short for the parent level's positions is the same gap
+  // from the other end.
+  expect_spec_error("compressed(ptr=ONE_ROW, ind=IND)",
+                    "ONE_ROW has 2 entries but the parent level needs 3");
+}
+
+TEST(FormatSpec, RejectsSlicedRowOverrunningInd) {
+  expect_spec_error(
+      "sliced(chunk=2, sigma=2, base=BASE, len=LEN, ind=SIND3) unsorted",
+      "sliced() row 1 (BASE = 1, LEN = 2) overruns the 3 entries of SIND3");
+}
+
+TEST(FormatSpec, RejectsValueArrayShorterThanLeafPositions) {
+  expect_spec_error("compressed(ptr=PTR, ind=IND)",
+                    "value array SHORT has 1 entries but the levels address "
+                    "2 positions",
+                    "SHORT", /*line=*/4);
+}
+
+TEST(FormatSpec, RejectsSortedSegmentThatDescends) {
+  expect_spec_error("compressed(ptr=PAIR, ind=DESC) sorted",
+                    "DESC is declared sorted but DESC[1] = 0 follows 1");
+  expect_spec_error(
+      "sliced(chunk=2, sigma=2, base=BASE, len=LEN, ind=SIND4) sorted",
+      "SIND4 is declared sorted but SIND4[3] = 0 follows 5");
+  // Padding lanes beyond len are never read, so they are not checked:
+  // row 1's padding slot holds column 0 after its one real entry. (The
+  // view borrows the arrays, so they must outlive it.)
+  const FormatArrays arrays = broken_arrays();
+  GenericFormatView padded(
+      "format S { level i: dense(2); "
+      "level j: sliced(chunk=2, sigma=2, base=BASE, len=LEN_PAD, ind=SIND4) "
+      "sorted; value VALS; }",
+      arrays);
+  EXPECT_EQ(padded.level(1).search(1, 5), 1);
 }
 
 TEST(FormatSpec, ErrorsAreAnchored) {

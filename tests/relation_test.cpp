@@ -165,14 +165,5 @@ TEST(Query, ValidateCatchesMistakes) {
   EXPECT_THROW(uncovered.validate(), Error);
 }
 
-TEST(Views, ValueExprRendersArrayAccess) {
-  auto csr = formats::Csr::from_coo(sample_matrix());
-  CsrView v("A", csr);
-  EXPECT_EQ(v.value_expr("p"), "A_VALS[p]");
-  Vector x(3, 0.0);
-  DenseVectorView xv("X", VectorView(x));
-  EXPECT_EQ(xv.value_expr("j"), "X[j]");
-}
-
 }  // namespace
 }  // namespace bernoulli::relation
